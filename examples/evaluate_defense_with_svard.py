@@ -9,7 +9,7 @@ Run:  python examples/evaluate_defense_with_svard.py
 """
 
 from repro.core import Svard, VulnerabilityProfile
-from repro.defenses import DEFENSE_CLASSES, SvardThresholds
+from repro.defenses import SvardThresholds, make_defense
 from repro.faults import module_by_label
 from repro.sim import MemorySystem, SystemConfig, compute_metrics
 from repro.workloads import build_traces, generate_mixes
@@ -51,10 +51,9 @@ def main() -> None:
             ("No Svärd", None),
             (f"Svärd-{PROFILE_MODULE}", SvardThresholds(svard)),
         ):
-            kwargs = dict(rows_per_bank=config.rows_per_bank, seed=0)
-            if thresholds is not None:
-                kwargs["thresholds"] = thresholds
-            defense = DEFENSE_CLASSES[name](HC_FIRST, **kwargs)
+            defense = make_defense(
+                name, HC_FIRST, config, thresholds=thresholds
+            )
             result = MemorySystem(
                 config, build_traces(mix, config), defense=defense
             ).run()

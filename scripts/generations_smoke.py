@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.defenses import DEFENSE_CLASSES  # noqa: E402
+from repro.defenses import make_defense  # noqa: E402
 from repro.dram.timing import device_for  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
 from repro.sim.conformance import check_run  # noqa: E402
@@ -81,8 +81,7 @@ def build_system(device: str, suite: str, defense_name) -> MemorySystem:
     ]
     defense = None
     if defense_name is not None:
-        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=0)
-        defense = DEFENSE_CLASSES[defense_name](512, **kwargs)
+        defense = make_defense(defense_name, 512, config)
     return MemorySystem(config, traces, defense=defense, seed=0)
 
 

@@ -14,6 +14,9 @@ implemented against a common interface (:mod:`repro.defenses.base`):
 * :mod:`repro.defenses.rrs` -- Randomized Row-Swap (Saileshwar+,
   ASPLOS'22): periodically swapping hot rows to random locations.
 
+:func:`make_defense` builds any of them by name for a simulated system,
+so every defense's epoch agrees with the engine's reset cadence.
+
 Each defense consults a *threshold provider* for the ``HC_first`` of
 the potential victim rows of every activation.  The provider is either
 the module-wide worst case (the paper's "No Svärd" configuration) or
@@ -48,6 +51,32 @@ DEFENSE_CLASSES = {
     "RRS": RandomizedRowSwap,
 }
 
+
+def make_defense(
+    name: str,
+    hc_first: float,
+    config,
+    *,
+    thresholds: ThresholdProvider = None,
+    seed: int = 0,
+    **extra,
+) -> Defense:
+    """Build the defense ``name`` for a simulation of ``config``.
+
+    ``config`` is the :class:`~repro.sim.config.SystemConfig` the
+    defense runs under.  BlockHammer's epoch is the engine's defense
+    epoch (``defense_epoch_ns``, else tREFW), so its blacklist and
+    throttle windows reset when the engine resets them.  ``extra``
+    passes defense-specific knobs through (e.g. Hydra's
+    ``rcc_entries``).
+    """
+    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=seed, **extra)
+    if thresholds is not None:
+        kwargs["thresholds"] = thresholds
+    if name == "BlockHammer":
+        kwargs["epoch_ns"] = config.defense_epoch_ns or config.timing.tREFW
+    return DEFENSE_CLASSES[name](hc_first, **kwargs)
+
 __all__ = [
     "Defense",
     "Mitigation",
@@ -67,4 +96,5 @@ __all__ = [
     "Aqua",
     "RandomizedRowSwap",
     "DEFENSE_CLASSES",
+    "make_defense",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
+from repro.defenses import make_defense
 from repro.defenses.base import SvardThresholds
 from repro.experiments.api import (
     Experiment,
@@ -121,11 +121,9 @@ def _bins_task(task: Task) -> list:
     profile = scaled_profile(profile_label, hc_first, scale)
     svard = Svard.build(profile, n_bins=n_bins)
     assert svard.verify_security_invariant()
-    defense_obj = DEFENSE_CLASSES[defense](
-        hc_first,
-        thresholds=SvardThresholds(svard),
-        rows_per_bank=config.rows_per_bank,
-        seed=scale.seed,
+    defense_obj = make_defense(
+        defense, hc_first, config,
+        thresholds=SvardThresholds(svard), seed=scale.seed,
     )
     result = MemorySystem(
         config, build_traces(mix, config), defense=defense_obj

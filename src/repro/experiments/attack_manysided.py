@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
+from repro.defenses import make_defense
 from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
@@ -159,10 +159,9 @@ def _attack_task(task: Task) -> List[float]:
             configuration.removeprefix("Svärd-"), HC_FIRST, scale
         )
         thresholds = SvardThresholds(Svard.build(profile))
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    defense = DEFENSE_CLASSES[defense_name](HC_FIRST, **kwargs)
+    defense = make_defense(
+        defense_name, HC_FIRST, config, thresholds=thresholds, seed=scale.seed
+    )
     return MemorySystem(
         config, _attack_traces(n_sides, config), defense=defense
     ).run().finish_times()

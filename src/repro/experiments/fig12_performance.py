@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
-from repro.defenses.base import Defense, SvardThresholds, ThresholdProvider
+from repro.defenses import DEFENSE_CLASSES, make_defense
+from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     ExperimentError,
@@ -163,21 +163,6 @@ def _svard_provider(
     )
 
 
-def _make_defense(
-    name: str,
-    hc_first: int,
-    config: SystemConfig,
-    thresholds: Optional[ThresholdProvider],
-    seed: int,
-) -> Defense:
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    if name == "BlockHammer":
-        kwargs["epoch_ns"] = config.defense_epoch_ns or DEFENSE_EPOCH_NS
-    return DEFENSE_CLASSES[name](hc_first, **kwargs)
-
-
 def _mean_metrics(values: Sequence[MultiProgramMetrics]) -> MultiProgramMetrics:
     return MultiProgramMetrics(
         weighted_speedup=float(np.mean([v.weighted_speedup for v in values])),
@@ -223,7 +208,9 @@ def _simulation_task(
     declare no setup).
     """
     mix, defense_name, _configuration, hc, scale, config = task.params
-    defense = _make_defense(defense_name, hc, config, thresholds, scale.seed)
+    defense = make_defense(
+        defense_name, hc, config, thresholds=thresholds, seed=scale.seed
+    )
     result = MemorySystem(
         config, build_traces(mix, config), defense=defense
     ).run()

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
+from repro.defenses import make_defense
 from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
@@ -157,12 +157,11 @@ def _attack_task(task: Task) -> List[float]:
             configuration.removeprefix("Svärd-"), HC_FIRST, scale
         )
         thresholds = SvardThresholds(Svard.build(profile))
-    kwargs = dict(rows_per_bank=config.rows_per_bank, seed=scale.seed)
-    if thresholds is not None:
-        kwargs["thresholds"] = thresholds
-    if defense_name == "Hydra":
-        kwargs["rcc_entries"] = HYDRA_RCC_ENTRIES
-    defense = DEFENSE_CLASSES[defense_name](HC_FIRST, **kwargs)
+    extra = {"rcc_entries": HYDRA_RCC_ENTRIES} if defense_name == "Hydra" else {}
+    defense = make_defense(
+        defense_name, HC_FIRST, config,
+        thresholds=thresholds, seed=scale.seed, **extra,
+    )
     return MemorySystem(
         config, _adversarial_traces(defense_name, config), defense=defense
     ).run().finish_times()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.profile import VulnerabilityProfile
 from repro.core.svard import Svard
-from repro.defenses import DEFENSE_CLASSES
+from repro.defenses import DEFENSE_CLASSES, make_defense
 from repro.defenses.aqua import Aqua
 from repro.defenses.base import (
     CounterTraffic,
@@ -22,6 +22,7 @@ from repro.defenses.hydra import Hydra
 from repro.defenses.para import Para
 from repro.defenses.rrs import MisraGriesTracker, RandomizedRowSwap
 from repro.faults.modules import module_by_label
+from repro.sim.config import SystemConfig
 
 
 class TestCountingBloomFilter:
@@ -354,3 +355,59 @@ class TestSvardIntegration:
                 break
         assert fired_at is not None
         assert fired_at <= own_threshold * defense.migrate_fraction + 1
+
+
+class TestMakeDefense:
+    def test_blockhammer_epoch_follows_the_engine(self):
+        """BlockHammer resets its windows when the engine's defense
+        epoch fires: ``defense_epoch_ns``, else tREFW."""
+        for epoch in (None, 250_000.0):
+            config = SystemConfig(defense_epoch_ns=epoch)
+            defense = make_defense("BlockHammer", 64, config)
+            assert defense.epoch_ns == (epoch or config.timing.tREFW)
+
+    def test_passes_thresholds_seed_and_extras(self):
+        config = SystemConfig(rows_per_bank=2048)
+        thresholds = GlobalThreshold(128)
+        defense = make_defense(
+            "Hydra", 64, config, thresholds=thresholds, seed=5,
+            rcc_entries=32,
+        )
+        assert isinstance(defense, Hydra)
+        assert defense.thresholds is thresholds
+        assert defense.rows_per_bank == 2048
+        assert defense.seed == 5
+        assert defense.rcc_entries == 32
+
+    def test_attack_manysided_blockhammer_uses_the_config_epoch(
+        self, monkeypatch
+    ):
+        """Every attack-manysided BlockHammer cell runs under the same
+        1 ms epoch the engine resets defenses on."""
+        from repro.experiments import attack_manysided
+        from repro.experiments.common import NO_SVARD, ExperimentScale
+
+        simulated = []
+
+        class Recorder:
+            def __init__(self, config, traces, defense=None, **kwargs):
+                simulated.append((config, defense))
+
+            def run(self):
+                return self
+
+            def finish_times(self):
+                return [1.0]
+
+        monkeypatch.setattr(attack_manysided, "MemorySystem", Recorder)
+        [group] = attack_manysided.ManySidedExperiment().build_tasks(
+            ExperimentScale(), None
+        )
+        for task in group.tasks:
+            if task.key[1:3] == ("attack", "BlockHammer") \
+                    and task.key[4] == NO_SVARD:
+                task.execute()
+        assert simulated
+        for config, defense in simulated:
+            assert isinstance(defense, BlockHammer)
+            assert defense.epoch_ns == config.defense_epoch_ns == 1_000_000.0
