@@ -33,6 +33,13 @@ TWO_SEED_RECIPE = {
     "seeds": [0, 1],
 }
 
+#: fig8 refuses a selection without Samsung modules, so both seeds of
+#: its cells fail while sec64's succeed.
+FAILING_RECIPE = dict(
+    TWO_SEED_RECIPE, name="cli-pin-failing",
+    experiments=["fig8", "sec64"], overrides={"modules": ["H0"]},
+)
+
 CASES = {
     "run-text": ["run", "sec64", "--no-cache"],
     "run-json-stdout": ["run", "sec64", "--no-cache", "--format", "json"],
@@ -40,11 +47,18 @@ CASES = {
         "run", "sec64", "--no-cache", "--format", "json", "--out", "{out}",
     ],
     "run-unknown-experiment": ["run", "sec64", "fig99", "--no-cache"],
+    "run-failing-cell": [
+        "run", "fig8", "sec64", "--modules", "H0", "--no-cache",
+    ],
     "recipe-text-stdout": [
         "recipe", "run", "{recipe}", "--no-cache", "--format", "text",
     ],
     "recipe-json-out-report": [
         "recipe", "run", "{recipe}", "--no-cache", "--format", "json",
+        "--out", "{out}", "--report",
+    ],
+    "recipe-failing-cells": [
+        "recipe", "run", "{failing}", "--no-cache", "--format", "json",
         "--out", "{out}", "--report",
     ],
 }
@@ -70,9 +84,11 @@ def _artifact_tree(out_dir: Path) -> dict:
 def _transcript(argv_template, tmp_path, capsys) -> dict:
     recipe_path = tmp_path / "cli-pin.json"
     recipe_path.write_text(json.dumps(TWO_SEED_RECIPE))
+    failing_path = tmp_path / "cli-pin-failing.json"
+    failing_path.write_text(json.dumps(FAILING_RECIPE))
     out_dir = tmp_path / "out"
     argv = [
-        part.format(out=out_dir, recipe=recipe_path)
+        part.format(out=out_dir, recipe=recipe_path, failing=failing_path)
         for part in argv_template
     ]
     code = runner.main(argv)
