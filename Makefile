@@ -1,10 +1,10 @@
 # Developer entry points.  Everything runs from a clean checkout with
 # only the baked-in python toolchain (numpy/scipy/pytest).
 #
-#   make test           tier-1 test suite + report smoke + queue chaos
-#                       smoke + service smoke + kernels smoke + profile
-#                       smoke + conformance smoke + generations smoke
-#                       (CI gate)
+#   make test           tier-1 test suite + recipes smoke + report smoke +
+#                       queue chaos smoke + service smoke + kernels smoke
+#                       + profile smoke + conformance smoke + generations
+#                       smoke (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -60,6 +60,7 @@ export PYTHONPATH := src
 
 test:
 	$(PYTHON) -m pytest -x -q
+	$(MAKE) recipes-smoke
 	$(MAKE) report-smoke
 	$(MAKE) queue-smoke
 	$(MAKE) service-smoke

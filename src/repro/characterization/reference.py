@@ -68,14 +68,7 @@ def characterize_bank_loop(
                 worst = max(worst, result.ber)
             ber_by_hc[int(hc)][slot] = worst
 
-    measured = runner._measured_hc_first_from_bers(ber_by_hc)
-    return BankProfile(
-        module_label=runner.spec.label,
-        bank=bank,
-        t_agg_on_ns=t_on,
-        wcdp_index=wcdp_index,
-        measured_hc_first=measured,
-        ber_by_hc=ber_by_hc,
-        row_indices=np.asarray(row_list, dtype=np.int64),
-        bank_rows=config.rows_per_bank,
+    return runner._bank_profile(
+        bank, wcdp_index, ber_by_hc,
+        np.asarray(row_list, dtype=np.int64), config.rows_per_bank,
     )

@@ -224,31 +224,37 @@ class CharacterizationRunner:
                 worst = np.maximum(worst, base * jitter)
             ber_by_hc[int(hc)] = np.clip(worst, 0.0, 1.0)
 
-        measured = self._measured_hc_first_from_bers(ber_by_hc)
-        return BankProfile(
-            module_label=self.spec.label,
-            bank=bank,
-            t_agg_on_ns=t_on,
-            wcdp_index=wcdp_index,
-            measured_hc_first=measured,
-            ber_by_hc=ber_by_hc,
-            row_indices=np.arange(n, dtype=np.int64),
-            bank_rows=n,
+        return self._bank_profile(
+            bank, wcdp_index, ber_by_hc, np.arange(n, dtype=np.int64), n
         )
 
-    def _measured_hc_first_from_bers(
-        self, ber_by_hc: Dict[int, np.ndarray]
-    ) -> np.ndarray:
-        """Smallest tested HC with at least one bitflip, per row."""
+    def _bank_profile(
+        self,
+        bank: int,
+        wcdp_index: np.ndarray,
+        ber_by_hc: Dict[int, np.ndarray],
+        row_indices: np.ndarray,
+        bank_rows: int,
+    ) -> BankProfile:
+        """Algorithm 1's result: each row's measured HC_first is the
+        smallest tested HC with at least one bitflip."""
         grid = sorted(ber_by_hc)
-        n = len(ber_by_hc[grid[0]])
-        measured = np.full(n, grid[-1], dtype=np.int64)
-        assigned = np.zeros(n, dtype=bool)
+        measured = np.full(len(row_indices), grid[-1], dtype=np.int64)
+        assigned = np.zeros(len(row_indices), dtype=bool)
         for hc in grid:
             flipped = (ber_by_hc[hc] > 0) & ~assigned
             measured[flipped] = hc
             assigned |= flipped
-        return measured
+        return BankProfile(
+            module_label=self.spec.label,
+            bank=bank,
+            t_agg_on_ns=self.config.t_agg_on_ns,
+            wcdp_index=wcdp_index,
+            measured_hc_first=measured,
+            ber_by_hc=ber_by_hc,
+            row_indices=row_indices,
+            bank_rows=bank_rows,
+        )
 
     # ------------------------------------------------------------------
     # Platform mode (command-faithful)
@@ -316,14 +322,6 @@ class CharacterizationRunner:
                 worst = np.maximum(worst, flips / row_bits)
             ber_by_hc[int(hc)] = worst
 
-        measured = self._measured_hc_first_from_bers(ber_by_hc)
-        return BankProfile(
-            module_label=self.spec.label,
-            bank=bank,
-            t_agg_on_ns=t_on,
-            wcdp_index=wcdp_index,
-            measured_hc_first=measured,
-            ber_by_hc=ber_by_hc,
-            row_indices=row_list,
-            bank_rows=self.config.rows_per_bank,
+        return self._bank_profile(
+            bank, wcdp_index, ber_by_hc, row_list, self.config.rows_per_bank
         )

@@ -17,7 +17,7 @@ vulnerability instead of the module-wide worst case.
 
 from repro.core.profile import VulnerabilityProfile
 from repro.core.binning import VulnerabilityBins
-from repro.core.svard import Svard, MetadataStore, McTableStore, InDramStore
+from repro.core.svard import STORAGE_LOCATIONS, BinStore, Svard
 from repro.core.area_model import (
     SvardAreaModel,
     mc_table_area_mm2,
@@ -29,9 +29,8 @@ __all__ = [
     "VulnerabilityProfile",
     "VulnerabilityBins",
     "Svard",
-    "MetadataStore",
-    "McTableStore",
-    "InDramStore",
+    "BinStore",
+    "STORAGE_LOCATIONS",
     "SvardAreaModel",
     "mc_table_area_mm2",
     "mc_table_access_latency_ns",

@@ -6,11 +6,13 @@ queries Svärd with the activated row address; Svärd returns the
 for weak rows, relaxed for strong ones.  The deployed read-disturbance
 defense uses that threshold instead of the module-wide worst case.
 
-Two metadata storage options from Section 6.2 are modelled:
+Svärd keeps each row's 4-bit bin id in a :class:`BinStore` whose
+``location`` picks one of Section 6.2's implementation options; the
+lookup is the same for both:
 
-* :class:`McTableStore` -- an SRAM table in the memory controller with
-  one 4-bit entry per DRAM row.
-* :class:`InDramStore` -- four extra bits per DRAM row stored with the
+* ``"mc-table"`` -- an SRAM table in the memory controller with one
+  4-bit entry per DRAM row; the lookup hides under the activation.
+* ``"in-dram"`` -- four extra bits per DRAM row stored with the
   data-integrity metadata, fetched in parallel with the activation
   (zero added latency) and co-refreshed by the defense's preventive
   actions.
@@ -19,7 +21,7 @@ Two metadata storage options from Section 6.2 are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,54 +29,47 @@ from repro.core.binning import VulnerabilityBins
 from repro.core.profile import VulnerabilityProfile
 
 
-class MetadataStore(Protocol):
-    """Where the per-row bin ids live."""
+#: Section 6.2's metadata locations, in the order the paper lists them.
+STORAGE_LOCATIONS = ("mc-table", "in-dram")
+
+
+@dataclass
+class BinStore:
+    """Per-row bin ids, held in the memory controller or in DRAM.
+
+    ``"mc-table"`` lookups hide under the row activation (the Section
+    6.4 CACTI estimate is 0.47 ns against a ~14 ns tRCD).  ``"in-dram"``
+    ids arrive with the first read of the activated row, so they add
+    no latency; the bits live in the disturbed row itself, so the
+    defense's preventive refreshes must cover them (``co_refreshed``).
+
+    A bank outside the profile folds onto the profiled banks by index.
+    """
+
+    bins_per_bank: Dict[int, np.ndarray]
+    location: str = "mc-table"
+    _by_index: List[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.location not in STORAGE_LOCATIONS:
+            raise ValueError(f"unknown storage option {self.location!r}")
+        self._by_index = [
+            self.bins_per_bank[bank] for bank in sorted(self.bins_per_bank)
+        ]
+
+    @property
+    def co_refreshed(self) -> bool:
+        return self.location == "in-dram"
 
     def bin_id(self, bank: int, row: int) -> int:
         """The stored 4-bit bin id of one row."""
+        table = self.bins_per_bank.get(bank)
+        if table is None:
+            table = self._by_index[bank % len(self._by_index)]
+        return int(table[row % len(table)])
 
     def storage_bits(self) -> int:
         """Total metadata bits held by this store."""
-
-
-@dataclass
-class McTableStore:
-    """Per-row bin-id table in the memory controller (option A).
-
-    Lookup latency is hidden under the row activation (the Section 6.4
-    CACTI estimate is 0.47 ns against a ~14 ns tRCD).
-    """
-
-    bins_per_bank: Dict[int, np.ndarray]
-
-    def bin_id(self, bank: int, row: int) -> int:
-        banks = sorted(self.bins_per_bank)
-        table = self.bins_per_bank[banks[bank % len(banks)] if bank not in self.bins_per_bank else bank]
-        return int(table[row % len(table)])
-
-    def storage_bits(self) -> int:
-        return 4 * sum(len(t) for t in self.bins_per_bank.values())
-
-
-@dataclass
-class InDramStore:
-    """Bin ids in the DRAM rows' integrity bits (option B).
-
-    The id arrives with the first read of the activated row, so it
-    adds no latency; the bits live in the disturbed row itself, so the
-    defense's preventive refreshes must cover them -- modelled by the
-    ``co_refreshed`` flag the defenses assert.
-    """
-
-    bins_per_bank: Dict[int, np.ndarray]
-    co_refreshed: bool = True
-
-    def bin_id(self, bank: int, row: int) -> int:
-        banks = sorted(self.bins_per_bank)
-        table = self.bins_per_bank[banks[bank % len(banks)] if bank not in self.bins_per_bank else bank]
-        return int(table[row % len(table)])
-
-    def storage_bits(self) -> int:
         return 4 * sum(len(t) for t in self.bins_per_bank.values())
 
 
@@ -84,7 +79,7 @@ class Svard:
 
     profile: VulnerabilityProfile
     bins: VulnerabilityBins
-    store: MetadataStore
+    store: BinStore
 
     @classmethod
     def build(
@@ -106,12 +101,7 @@ class Svard:
         bins_per_bank = {
             bank: bins.bin_ids(profile.values(bank)) for bank in profile.banks
         }
-        if storage == "mc-table":
-            store: MetadataStore = McTableStore(bins_per_bank=bins_per_bank)
-        elif storage == "in-dram":
-            store = InDramStore(bins_per_bank=bins_per_bank)
-        else:
-            raise ValueError(f"unknown storage option {storage!r}")
+        store = BinStore(bins_per_bank=bins_per_bank, location=storage)
         return cls(profile=profile, bins=bins, store=store)
 
     # ------------------------------------------------------------------

@@ -18,25 +18,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
 from repro.defenses import make_defense
-from repro.defenses.base import SvardThresholds, ThresholdProvider
-from repro.experiments.api import (
-    Experiment,
-    PlotSpec,
-    ResultSet,
-    ResultTable,
-    TableBlock,
-    TextBlock,
-    register,
-)
+from repro.experiments.api import Experiment, ResultSet, register
 from repro.experiments.common import (
     NO_SVARD,
     ExperimentScale,
-    scaled_profile,
     svard_configurations,
+    svard_thresholds,
 )
-from repro.experiments.fig13_adversarial import HC_FIRST
+from repro.experiments.fig13_adversarial import HC_FIRST, slowdown_result_set
 from repro.orchestration import (
     OrchestrationContext,
     Task,
@@ -65,64 +55,15 @@ class ManySidedResult:
 
 
 def result_set(result: ManySidedResult) -> ResultSet:
-    title = (
+    return slowdown_result_set(
+        "attack-manysided",
         f"Many-sided hammering at HC_first = {HC_FIRST}: "
-        "N-aggressor rotation vs preventive defenses"
-    )
-    data_rows = [
-        (
-            defense,
-            n_sides,
-            config,
-            result.raw_slowdown[(defense, n_sides, config)],
-            value,
-        )
-        for (defense, n_sides, config), value in sorted(
-            result.normalized_slowdown.items()
-        )
-    ]
-    return ResultSet(
-        experiment="attack-manysided",
-        title=title,
-        scalars={"hc_first": HC_FIRST},
-        tables=(
-            ResultTable(
-                name="slowdown",
-                headers=(
-                    "defense", "n_sides", "config", "raw_slowdown",
-                    "normalized_slowdown",
-                ),
-                rows=data_rows,
-            ),
-        ),
-        layout=(
-            TextBlock(title + "\n\n"),
-            TableBlock(
-                headers=(
-                    "defense", "N", "config", "slowdown",
-                    "norm. to No Svärd",
-                ),
-                rows=[
-                    (
-                        defense, str(n_sides), config,
-                        f"{raw:.2f}", f"{normalized:.3f}",
-                    )
-                    for defense, n_sides, config, raw, normalized in data_rows
-                ],
-            ),
-        ),
-        plots=(
-            PlotSpec(
-                name="slowdown",
-                kind="bar",
-                table="slowdown",
-                x="n_sides",
-                y=("normalized_slowdown",),
-                series="config",
-                title=title,
-                ylabel="slowdown normalized to No Svärd",
-            ),
-        ),
+        "N-aggressor rotation vs preventive defenses",
+        ("defense", "n_sides", "config"),
+        ("defense", "N", "config"),
+        result.normalized_slowdown,
+        result.raw_slowdown,
+        x="n_sides",
     )
 
 
@@ -153,12 +94,7 @@ def _baseline_task(task: Task) -> List[float]:
 def _attack_task(task: Task) -> List[float]:
     """Finish times of one (defense, N, Svärd configuration) cell."""
     defense_name, n_sides, configuration, scale, config = task.params
-    thresholds: Optional[ThresholdProvider] = None
-    if configuration != NO_SVARD:
-        profile = scaled_profile(
-            configuration.removeprefix("Svärd-"), HC_FIRST, scale
-        )
-        thresholds = SvardThresholds(Svard.build(profile))
+    thresholds = svard_thresholds(configuration, HC_FIRST, scale)
     defense = make_defense(
         defense_name, HC_FIRST, config, thresholds=thresholds, seed=scale.seed
     )

@@ -13,6 +13,8 @@ from repro.characterization.runner import (
     ModuleCharacterization,
 )
 from repro.core.profile import VulnerabilityProfile
+from repro.core.svard import Svard
+from repro.defenses.base import SvardThresholds
 from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.timing import device_for
 from repro.faults.modules import MODULES, ModuleSpec, module_by_label
@@ -287,6 +289,22 @@ def scaled_profile(
             seed=scale.seed,
         ).scaled_to_worst_case(hc_first)
     return _PROFILE_MEMO[key]
+
+
+def svard_thresholds(
+    configuration: str, hc_first: int, scale: ExperimentScale
+) -> Optional[SvardThresholds]:
+    """The threshold provider behind one :func:`svard_configurations` name.
+
+    ``None`` for No Svärd (the defense keeps its worst-case threshold);
+    otherwise Svärd built over the named module's scaled profile.
+    """
+    if configuration == NO_SVARD:
+        return None
+    profile = scaled_profile(
+        configuration.removeprefix("Svärd-"), hc_first, scale
+    )
+    return SvardThresholds(Svard.build(profile))
 
 
 def mix_baseline_task(task: Task) -> Dict[str, list]:

@@ -15,9 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
 from repro.defenses import DEFENSE_CLASSES, make_defense
-from repro.defenses.base import SvardThresholds, ThresholdProvider
+from repro.defenses.base import ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     ExperimentError,
@@ -32,8 +31,8 @@ from repro.experiments.common import (
     NO_SVARD,
     ExperimentScale,
     mix_baseline_task,
-    scaled_profile,
     svard_configurations,
+    svard_thresholds,
 )
 from repro.orchestration import (
     OrchestrationContext,
@@ -155,14 +154,6 @@ def result_set(result: Fig12Result) -> ResultSet:
     )
 
 
-def _svard_provider(
-    profile_label: str, hc_first: int, scale: ExperimentScale
-) -> ThresholdProvider:
-    return SvardThresholds(
-        Svard.build(scaled_profile(profile_label, hc_first, scale))
-    )
-
-
 def _mean_metrics(values: Sequence[MultiProgramMetrics]) -> MultiProgramMetrics:
     return MultiProgramMetrics(
         weighted_speedup=float(np.mean([v.weighted_speedup for v in values])),
@@ -182,7 +173,7 @@ def _provider_setup(task: Task) -> ThresholdProvider:
     so memoization never changes results.
     """
     _mix, _defense, configuration, hc, scale, _config = task.params
-    return _svard_provider(configuration.removeprefix("Svärd-"), hc, scale)
+    return svard_thresholds(configuration, hc, scale)
 
 
 def _provider_setup_key(

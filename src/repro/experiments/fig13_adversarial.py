@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.svard import Svard
 from repro.defenses import make_defense
-from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.experiments.api import (
     Experiment,
     PlotSpec,
@@ -29,8 +27,8 @@ from repro.experiments.api import (
 from repro.experiments.common import (
     NO_SVARD,
     ExperimentScale,
-    scaled_profile,
     svard_configurations,
+    svard_thresholds,
 )
 from repro.orchestration import (
     OrchestrationContext,
@@ -56,42 +54,44 @@ class Fig13Result:
         return result_set(self).render_text()
 
 
-def result_set(result: Fig13Result) -> ResultSet:
-    title = f"Fig 13: adversarial access patterns at HC_first = {HC_FIRST}"
+def slowdown_result_set(
+    experiment: str,
+    title: str,
+    key_headers: Tuple[str, ...],
+    key_labels: Tuple[str, ...],
+    normalized: Dict[tuple, float],
+    raw: Dict[tuple, float],
+    x: str,
+) -> ResultSet:
+    """A slowdown table keyed by ``key_headers``, ending in the config.
+
+    Shared with attack-manysided.  ``raw`` is the slowdown against the
+    no-defense baseline and ``normalized`` the same normalized to No
+    Svärd; ``key_labels`` head the text table's key columns and ``x``
+    is the bar chart's x axis.
+    """
     data_rows = [
-        (
-            defense,
-            config,
-            result.raw_slowdown[(defense, config)],
-            value,
-        )
-        for (defense, config), value in sorted(
-            result.normalized_slowdown.items()
-        )
+        (*key, raw[key], value) for key, value in sorted(normalized.items())
     ]
     return ResultSet(
-        experiment="fig13",
+        experiment=experiment,
         title=title,
         scalars={"hc_first": HC_FIRST},
         tables=(
             ResultTable(
                 name="slowdown",
-                headers=(
-                    "defense", "config", "raw_slowdown",
-                    "normalized_slowdown",
-                ),
+                headers=key_headers + ("raw_slowdown", "normalized_slowdown"),
                 rows=data_rows,
             ),
         ),
         layout=(
             TextBlock(title + "\n\n"),
             TableBlock(
-                headers=(
-                    "defense", "config", "slowdown", "norm. to No Svärd",
-                ),
+                headers=key_labels + ("slowdown", "norm. to No Svärd"),
                 rows=[
-                    (defense, config, f"{raw:.2f}", f"{normalized:.3f}")
-                    for defense, config, raw, normalized in data_rows
+                    tuple(str(part) for part in key)
+                    + (f"{slowdown:.2f}", f"{normalized_slowdown:.3f}")
+                    for *key, slowdown, normalized_slowdown in data_rows
                 ],
             ),
         ),
@@ -100,13 +100,25 @@ def result_set(result: Fig13Result) -> ResultSet:
                 name="slowdown",
                 kind="bar",
                 table="slowdown",
-                x="defense",
+                x=x,
                 y=("normalized_slowdown",),
                 series="config",
                 title=title,
                 ylabel="slowdown normalized to No Svärd",
             ),
         ),
+    )
+
+
+def result_set(result: Fig13Result) -> ResultSet:
+    return slowdown_result_set(
+        "fig13",
+        f"Fig 13: adversarial access patterns at HC_first = {HC_FIRST}",
+        ("defense", "config"),
+        ("defense", "config"),
+        result.normalized_slowdown,
+        result.raw_slowdown,
+        x="defense",
     )
 
 
@@ -151,13 +163,10 @@ def _baseline_task(task: Task) -> List[float]:
 def _attack_task(task: Task) -> List[float]:
     """Finish times of one (defense, Svärd configuration) under attack."""
     defense_name, configuration, scale, config = task.params
-    thresholds: Optional[ThresholdProvider] = None
-    if configuration != NO_SVARD:
-        profile = scaled_profile(
-            configuration.removeprefix("Svärd-"), HC_FIRST, scale
-        )
-        thresholds = SvardThresholds(Svard.build(profile))
-    extra = {"rcc_entries": HYDRA_RCC_ENTRIES} if defense_name == "Hydra" else {}
+    thresholds = svard_thresholds(configuration, HC_FIRST, scale)
+    extra = (
+        {"rcc_entries": HYDRA_RCC_ENTRIES} if defense_name == "Hydra" else {}
+    )
     defense = make_defense(
         defense_name, HC_FIRST, config,
         thresholds=thresholds, seed=scale.seed, **extra,

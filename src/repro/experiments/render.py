@@ -62,24 +62,14 @@ def atomic_write_text(path: Path, text: str) -> None:
     one, never a truncated write -- the same guarantee the result
     cache makes for pickles.
     """
-    import os
-    import tempfile
+    from repro.orchestration.cache import atomic_write
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".tmp-{path.name}-"
+    atomic_write(
+        path, lambda handle: handle.write(text),
+        text=True, prefix=f".tmp-{path.name}-",
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class Renderer(ABC):

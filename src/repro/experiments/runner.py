@@ -48,11 +48,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.api import (
-    ExperimentError,
-    all_experiments,
-    display_table,
-)
+from repro.experiments.api import all_experiments, display_table
 from repro.dram.timing import device_for
 from repro.experiments.common import ExperimentScale
 from repro.experiments.recipes import (
@@ -67,10 +63,11 @@ from repro.experiments.render import (
     renderer_names,
 )
 from repro.experiments.sweep import (
-    recipe_out_dir as _recipe_out_dir,
-    stamp_provenance as _stamp_provenance,
-    stats_snapshot as _stats_snapshot,
-    write_recipe_report as _write_recipe_report,
+    Cell,
+    recipe_cells,
+    recipe_out_dir,
+    run_cells,
+    write_recipe_report,
 )
 from repro.orchestration import (
     BACKEND_NAMES,
@@ -347,44 +344,6 @@ def _print_orchestration_stats(orch: OrchestrationContext) -> None:
     )
 
 
-def _emit_result_set(
-    result_set, renderer, format_name: str, out_dir: Optional[Path],
-    json_documents: List[dict], html_sections: List,
-) -> Optional[int]:
-    """Render one ResultSet to stdout or ``out_dir``.
-
-    Shared by ``run`` and ``recipe run``; returns an exit code for a
-    fatal renderer error, ``None`` otherwise.  In json- and
-    html-to-stdout modes the ResultSets are collected and flushed as
-    **one** document after the loop (14 concatenated HTML pages are
-    not a loadable page).
-    """
-    if out_dir is not None:
-        try:
-            paths = renderer.write(result_set, out_dir)
-        except RendererUnavailable as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        for path in paths:
-            print(f"wrote {path}")
-        if not paths:
-            print(
-                f"{result_set.experiment}: nothing to write for format "
-                f"{format_name!r}"
-            )
-    elif format_name == "text":
-        print("=" * 72)
-        print(result_set.render_text())
-        print()
-    elif format_name == "json":
-        json_documents.append(result_set.to_json_dict())
-    elif format_name == "html":
-        html_sections.append(result_set)
-    else:
-        print(renderer.render(result_set))
-    return None
-
-
 def _flush_html_stdout(html_sections: List) -> None:
     # One self-contained page stitching every requested experiment,
     # mirroring _flush_json_stdout's single-document guarantee.
@@ -414,6 +373,110 @@ def _flush_json_stdout(json_documents: List[dict], requested: int) -> None:
         else json_documents
     )
     print(json.dumps(document, indent=2, sort_keys=True))
+
+
+def _stderr_line(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _run_cells_to_cli(
+    args: argparse.Namespace,
+    cells: List[Cell],
+    *,
+    what: str,
+    mpl_dir: Path,
+    recipe: Optional[Recipe] = None,
+) -> int:
+    """Run ``cells`` through the shared sweep loop; render for the CLI.
+
+    The emit step renders each ResultSet into ``--out`` (per-cell
+    subdirectories for recipe cells) or to stdout.  In json- and
+    html-to-stdout modes the ResultSets are collected and flushed as
+    **one** document after the loop (14 concatenated HTML pages are
+    not a loadable page).  With a ``recipe`` and ``--report``, the
+    aggregated ``<out>/report.html`` follows.  ``what`` names the
+    cells in the failure summary.  Returns the exit code.
+    """
+    renderer = get_renderer(args.format_name)
+    try:
+        # Fail on a missing backend before any experiment executes.
+        renderer.check_available()
+    except RendererUnavailable as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    out_dir: Optional[Path] = Path(args.out) if args.out else None
+    if out_dir is None and args.format_name == "mpl":
+        out_dir = mpl_dir
+    report = recipe is not None and args.report
+    json_documents: List[dict] = []
+    html_sections: List = []
+
+    def emit(cell: Cell, result_set) -> None:
+        if out_dir is not None:
+            paths = renderer.write(result_set, cell.out_dir(out_dir))
+            for path in paths:
+                print(f"wrote {path}")
+            if not paths:
+                print(
+                    f"{result_set.experiment}: nothing to write for format "
+                    f"{args.format_name!r}"
+                )
+        elif args.format_name == "text":
+            print("=" * 72)
+            print(result_set.render_text())
+            print()
+        elif args.format_name == "json":
+            json_documents.append(result_set.to_json_dict())
+        elif args.format_name == "html":
+            html_sections.append(result_set)
+        else:
+            print(renderer.render(result_set))
+
+    with build_context(args) as orch:
+        try:
+            outcome = run_cells(
+                cells, orch, emit, keep=report, log=_stderr_line
+            )
+        except BackendError as error:
+            # Backend failures (misconfiguration, a task that died on
+            # a worker) abort the whole run: later cells would hit the
+            # same wall.
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        except RendererUnavailable as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        if args.format_name == "json" and out_dir is None:
+            _flush_json_stdout(json_documents, len(cells))
+        _flush_html_stdout(html_sections)
+        failed = outcome.failed_cells
+        if failed:
+            print(
+                f"{len(failed)} {what}(s) failed: {', '.join(failed)}",
+                file=sys.stderr,
+            )
+        _print_orchestration_stats(orch)
+
+    if report and outcome.completed:
+        from repro.experiments.aggregate import AggregationError
+
+        try:
+            path = write_recipe_report(
+                recipe, args.smoke, outcome.completed, out_dir
+            )
+        except AggregationError as error:
+            # The per-seed artifacts are all on disk by now; losing
+            # the report must not look like losing the sweep.
+            print(
+                f"error: report aggregation failed: {error}\n"
+                f"(per-seed artifacts under {out_dir} are intact; "
+                f"`runner report {out_dir} --no-aggregate` renders "
+                "them unaggregated)",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"wrote {path}")
+    return 1 if failed else 0
 
 
 def _scale_for(experiment, base: ExperimentScale, explicit: frozenset,
@@ -506,58 +569,14 @@ def _cmd_run(argv) -> int:
         return 1
     explicit = frozenset(overrides)
 
-    renderer = get_renderer(args.format_name)
-    try:
-        # Fail on a missing backend before any experiment executes.
-        renderer.check_available()
-    except RendererUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir is None and args.format_name == "mpl":
-        out_dir = Path("figures")
-
-    json_documents: List[dict] = []
-    html_sections: List = []
-    failed: List[str] = []
-    json_stdout = args.format_name == "json" and out_dir is None
-
-    with build_context(args) as orch:
-        for name in names:
-            experiment = experiments[name]
-            scale = _scale_for(experiment, base_scale, explicit, args.full)
-            before = _stats_snapshot(orch)
-            try:
-                result_set = experiment.run_result_set(scale, orch)
-            except BackendError as error:
-                # Backend failures (misconfiguration, a task that died
-                # on a worker) abort the whole run: later experiments
-                # would hit the same wall.
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            except ExperimentError as error:
-                # A selection invalid for one experiment should not
-                # abort the rest of a multi-experiment run.
-                print(f"error: {name}: {error}", file=sys.stderr)
-                failed.append(name)
-                continue
-            _stamp_provenance(result_set, orch, before)
-            code = _emit_result_set(
-                result_set, renderer, args.format_name, out_dir,
-                json_documents, html_sections,
-            )
-            if code is not None:
-                return code
-        if json_stdout:
-            _flush_json_stdout(json_documents, len(names))
-        _flush_html_stdout(html_sections)
-        if failed:
-            print(
-                f"{len(failed)} experiment(s) failed: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-        _print_orchestration_stats(orch)
-    return 1 if failed else 0
+    cells = [
+        Cell(name, _scale_for(experiments[name], base_scale, explicit,
+                              args.full))
+        for name in names
+    ]
+    return _run_cells_to_cli(
+        args, cells, what="experiment", mpl_dir=Path("figures")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -714,20 +733,29 @@ def _queue_status_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _existing_cache_dir(cache_dir: Optional[str]) -> Optional[Path]:
+    """A CACHE_DIR argument (default: the default cache) that must exist.
+
+    Reports a missing directory on stderr and returns ``None``.
+    """
+    path = Path(cache_dir) if cache_dir else default_cache_dir()
+    if path.exists():
+        return path
+    print(
+        f"error: no such cache directory: {path} (pass the "
+        "directory the sweep's --cache-dir points at as CACHE_DIR)",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _cmd_queue_status(argv) -> int:
     parser = _queue_status_parser()
     args = parser.parse_args(argv)
     if args.stale_after <= 0:
         parser.error("--stale-after must be positive")
-    cache_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    if not cache_dir.exists():
-        print(
-            f"error: no such cache directory: {cache_dir} (pass the "
-            "directory the sweep's --cache-dir points at as CACHE_DIR)",
-            file=sys.stderr,
-        )
+    cache_dir = _existing_cache_dir(args.cache_dir)
+    if cache_dir is None:
         return 1
     status = queue_status(
         cache_dir, args.queue_dir, stale_after=args.stale_after,
@@ -747,18 +775,6 @@ def _cmd_queue_status(argv) -> int:
         except BrokenPipeError:
             pass
     return 0
-
-
-def _cmd_queue(argv) -> int:
-    if argv and argv[0] == "status":
-        return _cmd_queue_status(argv[1:])
-    print(
-        "usage: python -m repro.experiments.runner queue status "
-        "[CACHE_DIR] [--queue-dir DIR] [--json] [--stale-after S] "
-        "[--profile]",
-        file=sys.stderr,
-    )
-    return 2
 
 
 # ----------------------------------------------------------------------
@@ -794,15 +810,8 @@ def _profile_parser() -> argparse.ArgumentParser:
 def _cmd_profile(argv) -> int:
     parser = _profile_parser()
     args = parser.parse_args(argv)
-    cache_dir = (
-        Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    )
-    if not cache_dir.exists():
-        print(
-            f"error: no such cache directory: {cache_dir} (pass the "
-            "directory the sweep's --cache-dir points at as CACHE_DIR)",
-            file=sys.stderr,
-        )
+    cache_dir = _existing_cache_dir(args.cache_dir)
+    if cache_dir is None:
         return 1
     profile = profile_cache(cache_dir)
     if args.json:
@@ -1024,8 +1033,7 @@ def _check_timing_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check_timing(argv) -> int:
-    from repro.defenses import DEFENSE_CLASSES
-    from repro.dram.timing import device_for, timing_for_speed
+    from repro.defenses import DEFENSE_CLASSES, make_defense
     from repro.sim.config import SystemConfig
     from repro.sim.conformance import check_run
     from repro.sim.engine import MemorySystem
@@ -1047,10 +1055,9 @@ def _cmd_check_timing(argv) -> int:
     if args.clock_ns is not None and args.trace is None:
         parser.error("--clock-ns requires --trace")
     try:
-        if args.device is not None:
-            timing = device_for(args.device)
-        else:
-            timing = timing_for_speed(args.speed)
+        timing = device_for(
+            args.device if args.device is not None else args.speed
+        )
     except ValueError as error:
         parser.error(str(error))
     device_label = (
@@ -1101,10 +1108,9 @@ def _cmd_check_timing(argv) -> int:
 
     defense = None
     if defense_name is not None:
-        kwargs = dict(rows_per_bank=config.rows_per_bank, seed=args.seed)
-        if defense_name == "BlockHammer":
-            kwargs["epoch_ns"] = config.defense_epoch_ns
-        defense = DEFENSE_CLASSES[defense_name](args.hc_first, **kwargs)
+        defense = make_defense(
+            defense_name, args.hc_first, config, seed=args.seed
+        )
 
     system = MemorySystem(config, traces, defense=defense, seed=args.seed)
     try:
@@ -1239,7 +1245,7 @@ def _cmd_recipe_show(argv) -> int:
     experiments = ",".join(recipe.experiments)
     for seed in recipe.seeds:
         for device in recipe.devices or (None,):
-            relative = _recipe_out_dir(Path("DIR"), recipe, seed, device=device)
+            relative = recipe_out_dir(Path("DIR"), seed, device=device)
             print(
                 f"  {relative}/{{{experiments}}}.<fmt>", file=sys.stderr,
             )
@@ -1288,101 +1294,14 @@ def _cmd_recipe_run(argv) -> int:
 
     try:
         recipe = get_recipe(args.name)
-        recipe.validate_experiments()
-        runs = recipe.runs(smoke=args.smoke)
+        cells = recipe_cells(recipe, smoke=args.smoke)
     except RecipeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-
-    renderer = get_renderer(args.format_name)
-    try:
-        renderer.check_available()
-    except RendererUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir is None and args.format_name == "mpl":
-        out_dir = Path("figures") / recipe.name
-
-    experiments = all_experiments()
-    json_documents: List[dict] = []
-    html_sections: List = []
-    json_stdout = args.format_name == "json" and out_dir is None
-    failed: List[str] = []
-    completed: List[tuple] = []  # (experiment, seed, device, ResultSet)
-
-    with build_context(args) as orch:
-        for experiment_name, seed, scale in runs:
-            cell = f"{experiment_name}@seed{seed}"
-            if scale.device is not None:
-                cell = f"{cell}/{scale.device}"
-            print(f"[recipe {recipe.name} v{recipe.version}] {cell}",
-                  file=sys.stderr)
-            before = _stats_snapshot(orch)
-            try:
-                result_set = experiments[experiment_name].run_result_set(
-                    scale, orch
-                )
-            except BackendError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            except ExperimentError as error:
-                print(f"error: {cell}: {error}", file=sys.stderr)
-                failed.append(cell)
-                continue
-            if scale.device is not None:
-                result_set.title = f"{result_set.title} [{scale.device}]"
-            result_set.meta["recipe"] = {
-                "name": recipe.name,
-                "version": recipe.version,
-                "seed": seed,
-                "smoke": args.smoke,
-            }
-            _stamp_provenance(result_set, orch, before)
-            if args.report:
-                # Only the report consumes these; retaining a whole
-                # paper-scale grid in memory otherwise is waste.
-                completed.append((experiment_name, seed, scale.device, result_set))
-            code = _emit_result_set(
-                result_set,
-                renderer,
-                args.format_name,
-                None if out_dir is None
-                else _recipe_out_dir(out_dir, recipe, seed, device=scale.device),
-                json_documents, html_sections,
-            )
-            if code is not None:
-                return code
-        if json_stdout:
-            _flush_json_stdout(json_documents, len(runs))
-        _flush_html_stdout(html_sections)
-        if failed:
-            print(
-                f"{len(failed)} recipe cell(s) failed: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-        _print_orchestration_stats(orch)
-
-    if args.report and completed:
-        from repro.experiments.aggregate import AggregationError
-
-        try:
-            path = _write_recipe_report(
-                recipe, args.smoke, completed, out_dir
-            )
-        except AggregationError as error:
-            # The per-seed artifacts are all on disk by now; losing
-            # the report must not look like losing the sweep.
-            print(
-                f"error: report aggregation failed: {error}\n"
-                f"(per-seed artifacts under {out_dir} are intact; "
-                f"`runner report {out_dir} --no-aggregate` renders "
-                "them unaggregated)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"wrote {path}")
-    return 1 if failed else 0
+    return _run_cells_to_cli(
+        args, cells, what="recipe cell",
+        mpl_dir=Path("figures") / recipe.name, recipe=recipe,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1477,20 +1396,6 @@ def _cmd_report(argv) -> int:
     return 0
 
 
-def _cmd_recipe(argv) -> int:
-    if argv and argv[0] == "list":
-        return _cmd_recipe_list(argv[1:])
-    if argv and argv[0] == "show":
-        return _cmd_recipe_show(argv[1:])
-    if argv and argv[0] == "run":
-        return _cmd_recipe_run(argv[1:])
-    print(
-        "usage: python -m repro.experiments.runner recipe {list,show,run} ...",
-        file=sys.stderr,
-    )
-    return 2
-
-
 _TOP_LEVEL_HELP = """\
 usage: python -m repro.experiments.runner {list,run,recipe,worker,queue,profile,serve,report,check-timing} ...
 
@@ -1530,6 +1435,30 @@ queue/worker model, and the cache.
 """
 
 
+#: Every subcommand: name -> (parser factory, handler), in `--help-all`
+#: order.  Two-word names are the verbs of a command group.
+_COMMANDS = {
+    "list": (_list_parser, _cmd_list),
+    "run": (_run_parser, _cmd_run),
+    "recipe list": (_recipe_list_parser, _cmd_recipe_list),
+    "recipe show": (_recipe_show_parser, _cmd_recipe_show),
+    "recipe run": (_recipe_run_parser, _cmd_recipe_run),
+    "worker": (_worker_parser, _cmd_worker),
+    "queue status": (_queue_status_parser, _cmd_queue_status),
+    "profile": (_profile_parser, _cmd_profile),
+    "serve": (_serve_parser, _cmd_serve),
+    "report": (_report_parser, _cmd_report),
+    "check-timing": (_check_timing_parser, _cmd_check_timing),
+}
+
+#: Usage printed when a command group gets a missing or unknown verb.
+_GROUP_USAGE = {
+    "recipe": "recipe {list,show,run} ...",
+    "queue": "queue status [CACHE_DIR] [--queue-dir DIR] [--json] "
+             "[--stale-after S] [--profile]",
+}
+
+
 def help_all_text() -> str:
     """Every subcommand's ``--help``, as one deterministic document.
 
@@ -1541,26 +1470,13 @@ def help_all_text() -> str:
     """
     import os
 
-    parsers = (
-        _list_parser(),
-        _run_parser(),
-        _recipe_list_parser(),
-        _recipe_show_parser(),
-        _recipe_run_parser(),
-        _worker_parser(),
-        _queue_status_parser(),
-        _profile_parser(),
-        _serve_parser(),
-        _report_parser(),
-        _check_timing_parser(),
-    )
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "78"
     try:
         sections = [_TOP_LEVEL_HELP]
-        for parser in parsers:
+        for build_parser, _handler in _COMMANDS.values():
             sections.append("=" * 72 + "\n")
-            sections.append(parser.format_help())
+            sections.append(build_parser().format_help())
     finally:
         if saved is None:
             os.environ.pop("COLUMNS", None)
@@ -1577,26 +1493,21 @@ def main(argv=None) -> int:
     if argv and argv[0] == "--help-all":
         print(help_all_text(), end="")
         return 0
-    if argv and argv[0] == "list":
-        return _cmd_list(argv[1:])
-    if argv and argv[0] == "recipe":
-        return _cmd_recipe(argv[1:])
-    if argv and argv[0] == "worker":
-        return _cmd_worker(argv[1:])
-    if argv and argv[0] == "queue":
-        return _cmd_queue(argv[1:])
-    if argv and argv[0] == "profile":
-        return _cmd_profile(argv[1:])
-    if argv and argv[0] == "serve":
-        return _cmd_serve(argv[1:])
-    if argv and argv[0] == "report":
-        return _cmd_report(argv[1:])
-    if argv and argv[0] == "check-timing":
-        return _cmd_check_timing(argv[1:])
-    if argv and argv[0] == "run":
-        argv = argv[1:]
-    # Bare experiment names (the pre-registry CLI) imply `run`.
-    return _cmd_run(argv)
+    if argv and argv[0] in _GROUP_USAGE:
+        command, rest = " ".join(argv[:2]), argv[2:]
+        if command not in _COMMANDS:
+            print(
+                "usage: python -m repro.experiments.runner "
+                + _GROUP_USAGE[argv[0]],
+                file=sys.stderr,
+            )
+            return 2
+    elif argv and argv[0] in _COMMANDS:
+        command, rest = argv[0], argv[1:]
+    else:
+        # Bare experiment names (the pre-registry CLI) imply `run`.
+        command, rest = "run", argv
+    return _COMMANDS[command][1](rest)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,22 @@
-"""The recipe-sweep engine shared by the CLI and the HTTP service.
+"""The one loop that runs experiment cells, shared by every caller.
 
-``runner recipe run`` and the experiment service's submission manager
-execute the same loop: for every ``(experiment, seed, scale)`` cell of
-a :class:`~repro.experiments.recipes.Recipe`, run the experiment
-through an :class:`~repro.orchestration.OrchestrationContext`, stamp
-``meta.recipe`` + ``meta.provenance``, emit the artifact, and finally
-aggregate the seed matrix into one ``report.html``.  This module is
-the single home of that loop and of the artifact-layout and report
-conventions, so a sweep submitted over HTTP produces artifacts
+``runner run``, ``runner recipe run`` and the experiment service's
+:class:`~repro.service.submissions.SubmissionManager` each build a
+list of :class:`Cell` objects -- one experiment at one scale, with
+the recipe it belongs to, if any -- and hand it to :func:`run_cells`
+together with their own *emit* step (the CLI renders to stdout or
+``--out``; the service writes JSON artifacts under its run
+directory).  Per cell the loop takes an orchestration stats snapshot,
+runs the experiment, records an
+:class:`~repro.experiments.api.ExperimentError` as a failed cell,
+tags device-axis titles and ``meta.recipe`` for recipe cells, stamps
+``meta.provenance``, emits, and keeps the ResultSet for the report
+when asked.  A sweep submitted over HTTP therefore produces artifacts
 **byte-identical** (modulo the ``meta.provenance`` execution record,
 which deliberately says *how* each artifact was computed) to the same
 recipe run from the command line.
 
-Artifact layout under a sweep's output directory::
+Artifact layout under a recipe sweep's output directory::
 
     <out>/seed<seed>/<experiment>.json     one ResultSet per cell
     <out>/seed<seed>/<device>/...          with a recipe `devices` axis
@@ -27,17 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.experiments.api import ExperimentError, all_experiments
+from repro.experiments.api import ExperimentError, ResultSet, all_experiments
+from repro.experiments.common import ExperimentScale
 from repro.experiments.recipes import Recipe
-from repro.experiments.render import atomic_write_text, get_renderer
+from repro.experiments.render import atomic_write_text
 from repro.orchestration import OrchestrationContext
 
 __all__ = [
+    "Cell",
     "SweepOutcome",
+    "recipe_cells",
     "recipe_out_dir",
-    "run_recipe_sweep",
+    "run_cells",
     "stamp_provenance",
     "stats_snapshot",
     "write_recipe_report",
@@ -114,7 +121,7 @@ def stamp_provenance(
 
 
 def recipe_out_dir(
-    out_dir: Path, recipe: Recipe, seed: int, *, device: Optional[str] = None
+    out_dir: Path, seed: int, *, device: Optional[str] = None
 ) -> Path:
     """Deterministic artifact layout: one subdirectory per seed.
 
@@ -128,17 +135,135 @@ def recipe_out_dir(
     return seed_dir / device.lower()
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One experiment at one scale: the unit :func:`run_cells` runs."""
+
+    experiment: str
+    scale: ExperimentScale
+    #: The recipe this cell is part of (``None`` for ``runner run``).
+    recipe: Optional[Recipe] = None
+    #: Whether the recipe's smoke overrides are applied.
+    smoke: bool = False
+
+    @property
+    def label(self) -> str:
+        """``fig12`` for a run cell; ``fig12@seed0[/DDR5-4800]`` in a recipe."""
+        if self.recipe is None:
+            return self.experiment
+        label = f"{self.experiment}@seed{self.scale.seed}"
+        if self.scale.device is not None:
+            label = f"{label}/{self.scale.device}"
+        return label
+
+    def out_dir(self, root: Path) -> Path:
+        """Where this cell's artifacts go under an output root."""
+        if self.recipe is None:
+            return root
+        return recipe_out_dir(root, self.scale.seed, device=self.scale.device)
+
+
+def recipe_cells(recipe: Recipe, *, smoke: bool = False) -> List[Cell]:
+    """Every cell of ``recipe``'s grid, in manifest order.
+
+    Raises :class:`~repro.experiments.recipes.RecipeError` for unknown
+    experiments or an invalid scale.
+    """
+    recipe.validate_experiments()
+    return [
+        Cell(experiment, scale, recipe, smoke)
+        for experiment, _seed, scale in recipe.runs(smoke=smoke)
+    ]
+
+
+@dataclass
+class SweepOutcome:
+    """What one :func:`run_cells` call produced."""
+
+    #: Labels of cells that raised ExperimentError.
+    failed_cells: List[str] = field(default_factory=list)
+    #: ``(cell, result_set)`` per finished cell, kept for the report.
+    completed: List[Tuple[Cell, ResultSet]] = field(default_factory=list)
+
+
+def run_cells(
+    cells: Sequence[Cell],
+    orch: OrchestrationContext,
+    emit: Callable[[Cell, ResultSet], None],
+    *,
+    keep: bool = False,
+    log: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> SweepOutcome:
+    """Run every cell through ``orch`` and hand each ResultSet to ``emit``.
+
+    ``emit(cell, result_set)`` renders or writes each finished cell's
+    ResultSet wherever the caller wants it.  ``keep`` retains every
+    ResultSet in :attr:`SweepOutcome.completed` for a report; it is
+    off by default because a paper-scale grid held in memory is waste
+    otherwise.  Per-cell :class:`ExperimentError` is logged, recorded
+    and the sweep continues; anything else -- a backend failure, a
+    renderer error from ``emit`` -- propagates, since the whole sweep
+    is wrong, not one cell.
+
+    ``progress(cells_done, cells_total)`` is called once up front and
+    once per finished cell (failed cells count as done -- it tracks
+    sweep position, not success), so callers like the experiment
+    service can surface live completion counts.
+    """
+    log = log or (lambda message: None)
+    experiments = all_experiments()
+    outcome = SweepOutcome()
+    if progress is not None:
+        progress(0, len(cells))
+    for cells_done, cell in enumerate(cells, 1):
+        recipe = cell.recipe
+        if recipe is not None:
+            log(f"[recipe {recipe.name} v{recipe.version}] {cell.label}")
+        before = stats_snapshot(orch)
+        try:
+            result_set = experiments[cell.experiment].run_result_set(
+                cell.scale, orch
+            )
+        except ExperimentError as error:
+            log(f"error: {cell.label}: {error}")
+            outcome.failed_cells.append(cell.label)
+        else:
+            if recipe is not None:
+                device = cell.scale.device
+                if device is not None:
+                    result_set.title = f"{result_set.title} [{device}]"
+                result_set.meta["recipe"] = {
+                    "name": recipe.name,
+                    "version": recipe.version,
+                    "seed": cell.scale.seed,
+                    "smoke": cell.smoke,
+                }
+            stamp_provenance(result_set, orch, before)
+            emit(cell, result_set)
+            if keep:
+                outcome.completed.append((cell, result_set))
+        if progress is not None:
+            progress(cells_done, len(cells))
+    return outcome
+
+
 def write_recipe_report(
-    recipe: Recipe, smoke: bool, completed: List[tuple], out_dir: Path
+    recipe: Recipe,
+    smoke: bool,
+    completed: Sequence[Tuple[Cell, ResultSet]],
+    out_dir: Path,
 ) -> Path:
     """``<out>/report.html`` for the cells of one recipe run.
 
     The cells aggregate **in memory** (per experiment and device,
     across the seed matrix), so the report works with any ``--format``
-    -- the on-disk artifacts need not be JSON.  ``completed`` holds
-    ``(experiment_name, seed, device, result_set)`` tuples (``device``
-    is ``None`` without a devices axis).  The page is published
-    atomically so an HTTP reader never sees half a report.
+    -- the on-disk artifacts need not be JSON.  ``completed`` is
+    :attr:`SweepOutcome.completed`.  The page is published atomically
+    so an HTTP reader never sees half a report.
+
+    Raises :class:`~repro.experiments.aggregate.AggregationError` when
+    the seed matrices do not align; the per-cell artifacts survive.
     """
     from repro.experiments.aggregate import ResultSetAggregate
     from repro.experiments.report import build_report
@@ -149,9 +274,10 @@ def write_recipe_report(
         # axis must not aggregate DDR4 numbers with DDR5 numbers.
         for device in recipe.devices or (None,):
             members = [
-                (seed, result_set)
-                for name, seed, cell_device, result_set in completed
-                if name == experiment_name and cell_device == device
+                (cell.scale.seed, result_set)
+                for cell, result_set in completed
+                if cell.experiment == experiment_name
+                and cell.scale.device == device
             ]
             if not members:
                 continue  # every seed of this cell group failed
@@ -173,108 +299,3 @@ def write_recipe_report(
     path = out_dir / "report.html"
     atomic_write_text(path, html)
     return path
-
-
-@dataclass
-class SweepOutcome:
-    """What one :func:`run_recipe_sweep` call produced."""
-
-    #: ``experiment@seedN`` labels of cells that raised ExperimentError.
-    failed_cells: List[str] = field(default_factory=list)
-    #: Artifact files written, in completion order.
-    artifacts: List[Path] = field(default_factory=list)
-    #: ``<out>/report.html`` (``None`` when every cell failed or the
-    #: seed matrices misaligned -- the per-cell artifacts survive).
-    report_path: Optional[Path] = None
-    #: Why the report is missing despite completed cells, if so.
-    report_error: Optional[str] = None
-
-
-def run_recipe_sweep(
-    recipe: Recipe,
-    orch: OrchestrationContext,
-    out_dir: Path,
-    *,
-    smoke: bool = False,
-    report: bool = True,
-    format_name: str = "json",
-    log: Optional[Callable[[str], None]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> SweepOutcome:
-    """Execute every cell of ``recipe`` and write its artifact tree.
-
-    The service's submission manager calls this with a queue-backend
-    context; the cells publish through the shared cache exactly like
-    ``runner recipe run --backend queue``.  Backend failures
-    (a task that died on a worker, misconfiguration) propagate --
-    the whole sweep is wrong, not one cell; per-cell
-    :class:`ExperimentError` is recorded and the sweep continues,
-    mirroring the CLI.
-
-    ``progress(cells_done, cells_total)`` is called once per finished
-    cell (failed cells count as done -- it tracks sweep position, not
-    success), so callers like the experiment service can surface live
-    completion counts without parsing the log stream.
-    """
-    log = log or (lambda message: None)
-    recipe.validate_experiments()
-    runs = recipe.runs(smoke=smoke)
-    experiments = all_experiments()
-    renderer = get_renderer(format_name)
-    renderer.check_available()
-    out_dir = Path(out_dir)
-    outcome = SweepOutcome()
-    completed: List[Tuple[str, int, Optional[str], object]] = []
-    cells_total = len(runs)
-    if progress is not None:
-        progress(0, cells_total)
-
-    for cells_done, (experiment_name, seed, scale) in enumerate(runs, 1):
-        cell = f"{experiment_name}@seed{seed}"
-        if scale.device is not None:
-            cell = f"{cell}/{scale.device}"
-        log(f"[recipe {recipe.name} v{recipe.version}] {cell}")
-        before = stats_snapshot(orch)
-        try:
-            result_set = experiments[experiment_name].run_result_set(
-                scale, orch
-            )
-        except ExperimentError as error:
-            log(f"error: {cell}: {error}")
-            outcome.failed_cells.append(cell)
-            if progress is not None:
-                progress(cells_done, cells_total)
-            continue
-        if scale.device is not None:
-            result_set.title = f"{result_set.title} [{scale.device}]"
-        result_set.meta["recipe"] = {
-            "name": recipe.name,
-            "version": recipe.version,
-            "seed": seed,
-            "smoke": smoke,
-        }
-        stamp_provenance(result_set, orch, before)
-        outcome.artifacts.extend(
-            renderer.write(
-                result_set,
-                recipe_out_dir(out_dir, recipe, seed, device=scale.device),
-            )
-        )
-        if report:
-            completed.append((experiment_name, seed, scale.device, result_set))
-        if progress is not None:
-            progress(cells_done, cells_total)
-
-    if report and completed:
-        from repro.experiments.aggregate import AggregationError
-
-        try:
-            outcome.report_path = write_recipe_report(
-                recipe, smoke, completed, out_dir
-            )
-        except AggregationError as error:
-            # The per-seed artifacts are all on disk by now; losing
-            # the report must not look like losing the sweep.
-            outcome.report_error = str(error)
-            log(f"error: report aggregation failed: {error}")
-    return outcome

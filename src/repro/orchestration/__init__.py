@@ -68,7 +68,6 @@ from repro.orchestration.task import (
     TaskGroup,
     execute_task_profiled,
     make_task,
-    run_task,
     run_task_profiled,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "queue_status",
     "render_profile",
     "render_status",
-    "run_task",
     "run_task_profiled",
     "scan_cache_entry_keys",
     "serial_context",

@@ -70,7 +70,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.orchestration.hashing import TaskKey, code_version, stable_hash
 
@@ -90,6 +90,38 @@ _FORMAT = 1
 SHARD_WIDTH = 2
 
 _MISS = object()
+
+
+def atomic_write(
+    destination: Path,
+    write: Callable[[IO], None],
+    *,
+    text: bool = False,
+    prefix: str = ".tmp-",
+    suffix: str = "",
+) -> None:
+    """Publish a file through ``write(handle)`` + a same-directory rename.
+
+    The temp file lives next to ``destination``, so the publishing
+    ``os.replace`` is atomic on every filesystem that matters
+    (including NFS): a concurrent reader sees the complete old file or
+    the complete new one, never a torn write.  The temp file is
+    removed if writing fails.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=destination.parent, prefix=prefix, suffix=suffix
+    )
+    try:
+        encoding = "utf-8" if text else None
+        with os.fdopen(fd, "w" if text else "wb", encoding=encoding) as handle:
+            write(handle)
+        os.replace(tmp_name, destination)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def default_cache_dir() -> Path:
@@ -358,22 +390,13 @@ class ResultCache:
         }
         destination = self.path_for(entry_key)
         destination.parent.mkdir(parents=True, exist_ok=True)
-        # The temp file lives in the shard directory itself so the
-        # publishing os.replace stays a same-directory rename (atomic
-        # on every filesystem that matters, including NFS).
-        fd, tmp_name = tempfile.mkstemp(
-            dir=destination.parent, prefix=".tmp-", suffix=".pkl"
+        atomic_write(
+            destination,
+            lambda handle: pickle.dump(
+                entry, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+            suffix=".pkl",
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.stats.stores += 1
         self._note_provenance(entry_key, provenance)
 

@@ -64,13 +64,13 @@ import os
 import pickle
 import re
 import socket
-import tempfile
 import time
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple, Union
 
+from repro.orchestration.cache import atomic_write
 from repro.orchestration.hashing import TaskKey, stable_hash
 from repro.orchestration.task import Task
 
@@ -552,20 +552,14 @@ class JobQueue:
     def write_heartbeat(self, beat: WorkerHeartbeat) -> None:
         """Atomically publish one worker's heartbeat (JSON)."""
         self.workers_dir.mkdir(parents=True, exist_ok=True)
-        destination = self.heartbeat_path(beat.worker_id)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.workers_dir, prefix=".tmp-", suffix=".json"
+        atomic_write(
+            self.heartbeat_path(beat.worker_id),
+            lambda handle: json.dump(
+                beat.to_json_dict(), handle, sort_keys=True
+            ),
+            text=True,
+            suffix=".json",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(beat.to_json_dict(), handle, sort_keys=True)
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def read_heartbeats(self) -> List[WorkerHeartbeat]:
         """Every readable heartbeat, sorted by worker id.
@@ -666,19 +660,13 @@ class JobQueue:
             return []
 
     def _atomic_write_pickle(self, payload: Any, destination: Path) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=destination.parent, prefix=".tmp-", suffix=".pkl"
+        atomic_write(
+            destination,
+            lambda handle: pickle.dump(
+                payload, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+            suffix=".pkl",
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, destination)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     @staticmethod
     def _unlink_quietly(path: Path) -> None:

@@ -148,11 +148,6 @@ def make_task(
                 setup=setup, setup_key=setup_key)
 
 
-def run_task(task: Task) -> Tuple[TaskKey, Any]:
-    """Worker entry point: execute one task, return ``(key, result)``."""
-    return task.key, task.execute()
-
-
 def execute_task_profiled(
     task: Task, setup_cache: Optional[SetupCache] = None
 ) -> Tuple[Any, Dict[str, float]]:

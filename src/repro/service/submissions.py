@@ -5,9 +5,9 @@ A POST to the experiment service lands here as a
 manifest loader).  The :class:`SubmissionManager` assigns it a run id,
 persists a **run record** (``run.json``) under the service state tree,
 and executes the sweep on a background thread through
-:func:`repro.experiments.sweep.run_recipe_sweep` -- the exact engine
-behind ``runner recipe run`` -- so the artifact tree a run serves is
-byte-identical (modulo ``meta.provenance``) to the CLI's.
+:func:`repro.experiments.sweep.run_cells` -- the loop behind ``runner
+recipe run`` -- so the artifact tree a run serves is byte-identical
+(modulo ``meta.provenance``) to the CLI's.
 
 State lives on disk, not in the process::
 
@@ -37,8 +37,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.experiments.recipes import Recipe, RecipeError
-from repro.experiments.render import atomic_write_text
-from repro.experiments.sweep import run_recipe_sweep
+from repro.experiments.render import atomic_write_text, get_renderer
+from repro.experiments.sweep import (
+    recipe_cells,
+    run_cells,
+    write_recipe_report,
+)
 from repro.orchestration import (
     OrchestrationContext,
     ResultCache,
@@ -266,14 +270,37 @@ class SubmissionManager:
                     record["cells_total"] = cells_total
                     self._write_record(record)
 
-                with orch:
-                    outcome = run_recipe_sweep(
-                        recipe, orch, out_dir,
-                        smoke=smoke,
-                        report=True,
-                        log=lambda message: self.log(f"[{run_id}] {message}"),
-                        progress=progress,
+                def log(message: str) -> None:
+                    self.log(f"[{run_id}] {message}")
+
+                renderer = get_renderer("json")
+                artifacts: List[Path] = []
+
+                def emit(cell, result_set) -> None:
+                    artifacts.extend(
+                        renderer.write(result_set, cell.out_dir(out_dir))
                     )
+
+                with orch:
+                    outcome = run_cells(
+                        recipe_cells(recipe, smoke=smoke), orch, emit,
+                        keep=True, log=log, progress=progress,
+                    )
+                if outcome.completed:
+                    from repro.experiments.aggregate import AggregationError
+
+                    try:
+                        record["report"] = str(write_recipe_report(
+                            recipe, smoke, outcome.completed, out_dir
+                        ).relative_to(out_dir))
+                    except AggregationError as error:
+                        # The per-seed artifacts are all on disk by
+                        # now; losing the report must not look like
+                        # losing the sweep.
+                        record["error"] = (
+                            f"report aggregation failed: {error}"
+                        )
+                        log(f"error: {record['error']}")
             except Exception as error:  # noqa: BLE001 -- run record is the report
                 record["state"] = "failed"
                 record["error"] = (
@@ -286,16 +313,8 @@ class SubmissionManager:
                 return
             record["failed_cells"] = list(outcome.failed_cells)
             record["artifacts"] = sorted(
-                str(path.relative_to(out_dir)) for path in outcome.artifacts
+                str(path.relative_to(out_dir)) for path in artifacts
             )
-            if outcome.report_path is not None:
-                record["report"] = str(
-                    outcome.report_path.relative_to(out_dir)
-                )
-            if outcome.report_error is not None:
-                record["error"] = (
-                    f"report aggregation failed: {outcome.report_error}"
-                )
             record["state"] = "failed" if outcome.failed_cells else "done"
             record["finished_at"] = time.time()
             self._write_record(record)

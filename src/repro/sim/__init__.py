@@ -10,7 +10,6 @@ action's DRAM cost.
 
 * :mod:`repro.sim.config` -- the Table 4 system configuration.
 * :mod:`repro.sim.request` -- memory request records.
-* :mod:`repro.sim.cache` -- a set-associative last-level cache model.
 * :mod:`repro.sim.engine` -- the event-driven simulator core.
 * :mod:`repro.sim.metrics` -- weighted/harmonic speedup, max slowdown.
 * :mod:`repro.sim.conformance` -- the command-granular JEDEC timing
@@ -20,7 +19,6 @@ action's DRAM cost.
 
 from repro.sim.config import SystemConfig, MitigationCosts
 from repro.sim.request import MemoryRequest
-from repro.sim.cache import SetAssociativeCache
 from repro.sim.engine import MemorySystem, SimulationResult, CoreResult
 from repro.sim.conformance import (
     ConformanceReport,
@@ -42,7 +40,6 @@ __all__ = [
     "SystemConfig",
     "MitigationCosts",
     "MemoryRequest",
-    "SetAssociativeCache",
     "MemorySystem",
     "SimulationResult",
     "CoreResult",

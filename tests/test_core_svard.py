@@ -17,7 +17,7 @@ from repro.core.area_model import (
 )
 from repro.core.binning import MAX_BINS, VulnerabilityBins
 from repro.core.profile import VulnerabilityProfile
-from repro.core.svard import InDramStore, McTableStore, Svard
+from repro.core.svard import Svard
 from repro.faults.modules import module_by_label
 
 
@@ -160,9 +160,21 @@ class TestSvard:
 
     def test_in_dram_storage(self, profile):
         svard = Svard.build(profile, storage="in-dram")
-        assert isinstance(svard.store, InDramStore)
+        assert svard.store.location == "in-dram"
         assert svard.store.co_refreshed
         assert svard.verify_security_invariant()
+        assert not Svard.build(profile).store.co_refreshed
+
+    def test_locations_share_one_lookup(self, profile):
+        """Both Section 6.2 options return the same bin ids; banks
+        outside the profile fold onto the sorted profiled banks by
+        index (banks 1 and 4 here: bank 2 reads bank 1's table)."""
+        table = Svard.build(profile).store
+        in_dram = Svard.build(profile, storage="in-dram").store
+        for bank, row in ((1, 5), (4, 1023), (0, 7), (2, 3), (7, 1030)):
+            assert table.bin_id(bank, row) == in_dram.bin_id(bank, row)
+        assert table.bin_id(2, 3) == int(table.bins_per_bank[1][3])
+        assert table.bin_id(7, 1030) == int(table.bins_per_bank[4][6])
 
     def test_storage_bits(self, profile):
         svard = Svard.build(profile)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import runner, sweep
 from repro.experiments.api import ResultSet
 from repro.experiments.report import build_report
 from repro.orchestration import (
@@ -378,11 +378,11 @@ class TestResultProvenance:
         ctx = OrchestrationContext(
             cache=ResultCache(tmp_path / "cache", version="vX")
         )
-        before = runner._stats_snapshot(ctx)
+        before = sweep.stats_snapshot(ctx)
         assert ctx.run([task], fingerprint="fp") == {("t",): 42}
 
         result_set = ResultSet(experiment="demo", title="Demo")
-        runner._stamp_provenance(result_set, ctx, before)
+        sweep.stamp_provenance(result_set, ctx, before)
         provenance = result_set.meta["provenance"]
         assert provenance["workers"] == {"farmhost:4242": 1}
         assert provenance["tasks"]["cache_hits"] == 1
@@ -410,15 +410,15 @@ class TestResultProvenance:
         ctx = OrchestrationContext(
             cache=ResultCache(tmp_path / "cache", version="vX")
         )
-        first_before = runner._stats_snapshot(ctx)
+        first_before = sweep.stats_snapshot(ctx)
         ctx.run([first], fingerprint="fp")
         first_set = ResultSet(experiment="one", title="One")
-        runner._stamp_provenance(first_set, ctx, first_before)
+        sweep.stamp_provenance(first_set, ctx, first_before)
 
-        second_before = runner._stats_snapshot(ctx)
+        second_before = sweep.stats_snapshot(ctx)
         ctx.run([second], fingerprint="fp")
         second_set = ResultSet(experiment="two", title="Two")
-        runner._stamp_provenance(second_set, ctx, second_before)
+        sweep.stamp_provenance(second_set, ctx, second_before)
 
         assert first_set.meta["provenance"]["workers"] == {"alpha:1": 1}
         assert second_set.meta["provenance"]["workers"] == {"beta:2": 1}
@@ -440,10 +440,10 @@ class TestResultProvenance:
             cache=ResultCache(tmp_path / "cache", version="vX")
         )
         for attempt in ("first", "repeat"):
-            before = runner._stats_snapshot(ctx)
+            before = sweep.stats_snapshot(ctx)
             assert ctx.run([task], fingerprint="fp") == {("t",): 42}
             result_set = ResultSet(experiment="demo", title="Demo")
-            runner._stamp_provenance(result_set, ctx, before)
+            sweep.stamp_provenance(result_set, ctx, before)
             provenance = result_set.meta["provenance"]
             assert provenance["workers"] == {"farmhost:7": 1}, attempt
             assert provenance["tasks"]["cache_hits"] == 1, attempt
@@ -499,11 +499,11 @@ class TestResultProvenance:
         cache = ResultCache(tmp_path / "cache")
         backend = QueueBackend(default_queue_dir(cache.directory))
         ctx = OrchestrationContext(cache=cache, backend=backend)
-        before = runner._stats_snapshot(ctx)
+        before = sweep.stats_snapshot(ctx)
         assert ctx.run(
             [make_task(("t",), _double, 3)], fingerprint="fp"
         ) == {("t",): 6}
         result_set = ResultSet(experiment="demo", title="Demo")
-        runner._stamp_provenance(result_set, ctx, before)
+        sweep.stamp_provenance(result_set, ctx, before)
         own = f"{socket.gethostname()}:{os.getpid()}"
         assert result_set.meta["provenance"]["workers"] == {own: 1}

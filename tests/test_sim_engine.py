@@ -5,7 +5,6 @@ import pytest
 from repro.defenses.base import GlobalThreshold
 from repro.defenses.para import Para
 from repro.defenses.rrs import RandomizedRowSwap
-from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import MitigationCosts, SystemConfig
 from repro.sim.engine import MemorySystem, TraceStep
 from repro.sim.metrics import (
@@ -212,33 +211,3 @@ class TestMetrics:
             weighted_speedup([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             weighted_speedup([0.0], [1.0])
-
-
-class TestCache:
-    def test_hits_after_fill(self):
-        cache = SetAssociativeCache(capacity_bytes=64 * 64, ways=4)
-        assert not cache.access(0)
-        assert cache.access(0)
-
-    def test_lru_eviction(self):
-        cache = SetAssociativeCache(capacity_bytes=64 * 4, ways=4)  # one set
-        for i in range(4):
-            cache.access(i * 64 * 1)  # 4 lines, same set? n_sets=1
-        cache.access(0)  # touch line 0
-        cache.access(5 * 64)  # evicts LRU (line 1)
-        assert cache.access(0)
-        assert not cache.access(1 * 64)
-
-    def test_stats(self):
-        cache = SetAssociativeCache()
-        cache.access(0)
-        cache.access(0)
-        assert cache.stats.accesses == 2
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=0)
-        with pytest.raises(ValueError):
-            SetAssociativeCache(capacity_bytes=100, ways=3)
