@@ -24,6 +24,8 @@ the module-wide worst case (the paper's "No Svärd" configuration) or
 :class:`repro.core.Svard` instance.
 """
 
+from typing import Optional
+
 from repro.defenses.base import (
     CounterTraffic,
     Defense,
@@ -57,7 +59,7 @@ def make_defense(
     hc_first: float,
     config,
     *,
-    thresholds: ThresholdProvider = None,
+    thresholds: Optional[ThresholdProvider] = None,
     seed: int = 0,
     **extra,
 ) -> Defense:
@@ -76,6 +78,7 @@ def make_defense(
     if name == "BlockHammer":
         kwargs["epoch_ns"] = config.defense_epoch_ns or config.timing.tREFW
     return DEFENSE_CLASSES[name](hc_first, **kwargs)
+
 
 __all__ = [
     "Defense",
