@@ -27,6 +27,7 @@ class CountingBloomFilter:
         if self.n_counters < 1 or self.n_hashes < 1:
             raise ValueError("filter dimensions must be positive")
         self._counters = np.zeros(self.n_counters, dtype=np.int64)
+        self._insertions = 0
         rng = np.random.default_rng(self.seed)
         # Odd multipliers give full-period multiplicative hashes.
         self._multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
@@ -37,6 +38,7 @@ class CountingBloomFilter:
 
     def insert(self, key: int) -> None:
         self._counters[self._indices(key)] += 1
+        self._insertions += 1
 
     def estimate(self, key: int) -> int:
         """Count estimate: never below the true insertion count."""
@@ -44,10 +46,16 @@ class CountingBloomFilter:
 
     def clear(self) -> None:
         self._counters[:] = 0
+        self._insertions = 0
 
     @property
     def total_insertions(self) -> int:
-        return int(self._counters.sum() // self.n_hashes)
+        """Keys inserted since the last :meth:`clear`.
+
+        Counted explicitly: a key whose hashes collide bumps fewer than
+        ``n_hashes`` counters, so the counter sum undercounts it.
+        """
+        return self._insertions
 
 
 @dataclass

@@ -47,6 +47,26 @@ class TestCountingBloomFilter:
             filt.insert(i)
         assert filt.total_insertions == 30
 
+    def test_total_insertions_counts_colliding_keys(self):
+        # Under seed 0, two of key 109's four hashes land on counter
+        # 237, so it bumps only three counters per insert.
+        filt = CountingBloomFilter(seed=0)
+        filt.insert(109)
+        assert filt.total_insertions == 1
+        filt.insert(109)
+        assert filt.total_insertions == 2
+        filt.clear()
+        assert filt.total_insertions == 0
+
+    def test_collided_counter_bumped_once_per_insert(self):
+        filt = CountingBloomFilter(seed=0)
+        for _ in range(3):
+            filt.insert(109)
+        counters = np.asarray(filt._counters)
+        assert counters[237] == 3
+        assert counters.sum() == 3 * 3
+        assert filt.estimate(109) == 3
+
     def test_dual_filter_overlapping_history(self):
         dual = DualCountingBloomFilter(n_counters=256, seed=0)
         for _ in range(10):
