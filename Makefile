@@ -26,6 +26,9 @@
 #                       sweep (1/8/32) -> BENCH_chunks.json
 #   make bench-kernels  loop-oracle vs vectorized characterization
 #                       timings -> BENCH_kernels.json
+#   make bench-engine   simulator req/s at one fig12-grid cell size:
+#                       traces alone, bare engine, each defense with
+#                       and without Svärd -> BENCH_engine.json
 #   make kernels-smoke  tiny platform characterization, kernel path
 #                       byte-diffed against the loop oracle
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task
@@ -55,7 +58,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke recipes-smoke queue-smoke report-smoke service-smoke \
         kernels-smoke profile-smoke conformance-smoke generations-smoke \
-        figures bench-smoke bench bench-backends bench-kernels golden \
+        figures bench-smoke bench bench-backends bench-kernels bench-engine golden \
         worker serve clean-cache
 
 test:
@@ -121,6 +124,9 @@ bench-backends:
 
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernels.py
+
+bench-engine:
+	$(PYTHON) benchmarks/bench_engine.py
 
 worker:
 	$(PYTHON) -m repro.experiments.runner worker --poll-interval 0.2
