@@ -16,12 +16,10 @@ defenses' overheads come from.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
+from heapq import heappop, heappush
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.defenses.base import (
     CounterTraffic,
@@ -45,10 +43,16 @@ from repro.dram.timing import REFRESH_PER_BANK
 from repro.sim.config import MitigationCosts, SystemConfig
 from repro.sim.request import MemoryRequest
 
+_INF = float("inf")
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One memory request emitted by a workload trace."""
+
+class TraceStep(NamedTuple):
+    """One memory request emitted by a workload trace.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    simulated request, and tuple construction is several times
+    cheaper than a frozen dataclass's ``object.__setattr__`` walk.
+    """
 
     bank: int
     row: int
@@ -93,12 +97,23 @@ class SimulationResult:
         return self.row_hits / total if total else 0.0
 
 
+#: Event kinds.  Ints, not strings: the heap holds one event per
+#: request and the loop dispatches on the kind of every one.
+_ARRIVAL = 0
+_BANK_FREE = 1
+_REFRESH = 2
+_EPOCH = 3
+
+
 class _BankState:
     """Per-bank scheduler state.
 
-    Bank timing (``busy_until``/``wake_at``) lives in numpy arrays owned
-    by :meth:`MemorySystem.run` so the refresh sweep can update every
-    bank at once.
+    Bank timing (``busy_until``/``wake_at``/``has_queue``) lives in
+    plain Python lists owned by :meth:`MemorySystem.run`.  Every
+    scheduling decision reads or writes one bank's entry, about 10^5
+    times per Fig 12 cell, while the all-bank refresh that once
+    justified numpy arrays runs about 20 times: a numpy scalar read
+    or write costs several times a list index, so lists win.
     """
 
     __slots__ = ("open_row", "last_act_ns", "hits_in_row", "queue")
@@ -133,7 +148,6 @@ class MemorySystem:
             timing=config.timing, columns_per_row=config.columns_per_row
         )
         self.seed = seed
-        self._command_log: Optional[List[TimedCommand]] = None
 
     # ------------------------------------------------------------------
 
@@ -152,56 +166,56 @@ class MemorySystem:
         log is *not* globally time-sorted (banks drain independently);
         the checker sorts it.
         """
-        self._command_log = command_log
+        log = command_log
         config = self.config
         timing = config.timing
+        defense = self.defense
         n_banks = config.total_banks
         banks = [_BankState() for _ in range(n_banks)]
-        busy_until = np.zeros(n_banks)
-        wake_at = np.full(n_banks, np.inf)
-        has_queue = np.zeros(n_banks, dtype=bool)
+        busy_until = [0.0] * n_banks
+        wake_at = [_INF] * n_banks
+        has_queue = [False] * n_banks
         rank_act_windows: List[deque] = [deque(maxlen=4) for _ in range(config.ranks)]
         rank_last_act = [-1e18] * config.ranks
 
-        remaining = [config.requests_per_core] * config.cores
-        in_flight = [0] * config.cores
         finish_time = [0.0] * config.cores
         total_latency = [0.0] * config.cores
         completed = [0] * config.cores
 
-        self._stat_row_hits = 0
-        self._stat_row_misses = 0
-        self._stat_activations = 0
+        row_hits = 0
+        row_misses = 0
+        activations = 0
         refreshes = 0
 
-        heap: List[Tuple[float, int, str, tuple]] = []
+        heap: List[Tuple[float, int, int, object]] = []
         seq = 0
 
-        def push(time: float, kind: str, payload: tuple) -> None:
+        def push(time: float, kind: int, payload: object) -> None:
             nonlocal seq
-            heapq.heappush(heap, (time, seq, kind, payload))
+            heappush(heap, (time, seq, kind, payload))
             seq += 1
 
         # Initial chain arrivals.
         issued = [0] * config.cores
         for core in range(config.cores):
-            chains = min(config.mlp_per_core, remaining[core])
+            chains = min(config.mlp_per_core, config.requests_per_core)
             for chain in range(chains):
                 step = self.traces[core].next_step(chain)
                 issued[core] += 1
-                push(step.gap_ns, "arrival", (core, chain, step))
+                push(step.gap_ns, _ARRIVAL, (core, chain, step))
 
         # Periodic refresh and defense epochs.  All-bank generations
         # (DDR4) issue one REF per tREFI; sliced generations rotate --
         # LPDDR4 REFpb over the rank's banks, DDR5 REFsb over the bank
         # index within each group -- spacing slices tREFI / slices
-        # apart so every bank still refreshes once per tREFI.
+        # apart so every bank still refreshes once per tREFI.  A
+        # refresh event's payload is its slice index.
         refresh_slices = timing.refresh_slices(
             banks_per_rank=config.banks_per_rank,
             banks_per_group=config.banks_per_group,
         )
         if refresh_slices == 1:
-            push(timing.tREFI, "refresh", ())
+            push(timing.tREFI, _REFRESH, 0)
         else:
             refresh_interval = timing.tREFI / refresh_slices
             refresh_latency = timing.refresh_latency_ns
@@ -224,55 +238,208 @@ class MemorySystem:
                     ]
                     for k in range(refresh_slices)
                 ]
-            push(refresh_interval, "refresh", (0,))
+            push(refresh_interval, _REFRESH, 0)
         epoch_ns = config.defense_epoch_ns or timing.tREFW
-        if self.defense is not None:
-            push(epoch_ns, "epoch", ())
+        if defense is not None:
+            push(epoch_ns, _EPOCH, None)
 
+        # Hot-loop locals: every timing parameter, derived cost and
+        # bound method the per-request path touches is read once here,
+        # not walked through self -> config -> timing (or recomputed by
+        # a property) on every request.
         banks_per_rank = config.banks_per_rank
-
-        def rank_of(bank: int) -> int:
-            return bank // banks_per_rank
-
-        # Hot-loop locals: try_schedule runs once per serviced request,
-        # so the invariant attribute lookups (config knobs, bound
-        # methods, trace list) are hoisted out of the closure body.
         column_cap = config.column_cap
         requests_per_core = config.requests_per_core
-        pick = self._pick
-        service = self._service
+        rows_per_bank = config.rows_per_bank
+        columns_per_row = config.columns_per_row
         traces = self.traces
+        tRCD = timing.tRCD
+        tCL = timing.tCL
+        tBL = timing.tBL
+        tRAS = timing.tRAS
+        tRP = timing.tRP
+        tFAW = timing.tFAW
+        tRFC = timing.tRFC
+        column_to_column = timing.column_to_column_ns
+        # The scheduler does not track bank-group adjacency, so it
+        # paces ACTs at the generation's rank-level minimum (tRRD_S
+        # with bank groups, the single tRRD without).
+        tRRD_S = timing.act_to_act_ns
+        on_activation = defense.on_activation if defense is not None else None
+        costs = self.costs
+        victim_refresh_ns = costs.victim_refresh_ns
+        counter_access_ns = costs.counter_access_ns
+        # A migration/swap half streams the whole row: a row cycle plus
+        # the column burst.
+        burst = config.columns_per_row * column_to_column
+        row_copy_ns = victim_refresh_ns + burst
+
+        def mitigation_costs(
+            mitigations: Sequence[Mitigation],
+        ) -> Tuple[float, List[float]]:
+            """(chain delay, per-preventive-ACT occupancy list) of actions.
+
+            Each entry of the occupancy list is one preventive
+            activation and the time the bank stays busy with it: a row
+            cycle for a victim refresh or counter access, a row cycle
+            plus the column burst for each half of a migration/swap.
+            """
+            delay = 0.0
+            preventive: List[float] = []
+            for mitigation in mitigations:
+                if isinstance(mitigation, ThrottleDelay):
+                    delay += mitigation.delay_ns
+                elif isinstance(mitigation, VictimRefresh):
+                    preventive.extend([victim_refresh_ns] * len(mitigation.rows))
+                elif isinstance(mitigation, RowMigration):
+                    # Read the source row out, write the destination row.
+                    preventive.extend([row_copy_ns] * 2)
+                elif isinstance(mitigation, RowSwap):
+                    preventive.extend([row_copy_ns] * 4)
+                elif isinstance(mitigation, CounterTraffic):
+                    preventive.extend(
+                        [counter_access_ns]
+                        * (mitigation.reads + mitigation.writes)
+                    )
+            return delay, preventive
+
+        def service(
+            bank: _BankState, bank_id: int, request: MemoryRequest, start: float
+        ) -> float:
+            """Serve one request; returns its completion time."""
+            nonlocal row_hits, row_misses, activations
+            row = request.row
+            open_row = bank.open_row
+            if open_row == row:
+                row_hits += 1
+                data_start = max(start, bank.last_act_ns + tRCD)
+                # Summed left-to-right: float addition is
+                # order-sensitive and these results are
+                # golden-protected bit-for-bit.
+                finish = data_start + tCL + tBL
+                busy_until[bank_id] = data_start + column_to_column
+                bank.hits_in_row += 1
+                if log is not None:
+                    column_cmd = _wr if request.is_write else _rd
+                    log.append(TimedCommand(
+                        data_start,
+                        column_cmd(
+                            bank_id, request.column,
+                            rank=bank_id // banks_per_rank,
+                        ),
+                    ))
+                return finish
+
+            # Row miss: precharge (if open) + activate.
+            rank = bank_id // banks_per_rank
+            row_misses += 1
+            t = start
+            if open_row is not None:
+                # Split from the one-liner `t = max(...) + tRP` with
+                # identical operations in identical order, so the PRE
+                # issue time is observable for the log.
+                t = max(t, bank.last_act_ns + tRAS)
+                if log is not None:
+                    log.append(TimedCommand(t, _pre(bank_id, rank=rank)))
+                t = t + tRP
+            act_time = max(t, rank_last_act[rank] + tRRD_S)
+            window = rank_act_windows[rank]
+            if len(window) == 4:
+                act_time = max(act_time, window[0] + tFAW)
+            if log is not None:
+                log.append(TimedCommand(act_time, _act(bank_id, row, rank=rank)))
+
+            chain_delay = 0.0
+            preventive: Sequence[float] = ()
+            if on_activation is not None:
+                mitigations = on_activation(bank_id, row, act_time)
+                if mitigations:
+                    chain_delay, preventive = mitigation_costs(mitigations)
+            activations += 1
+
+            rank_last_act[rank] = act_time
+            window.append(act_time)
+
+            bank.open_row = row
+            bank.last_act_ns = act_time
+            bank.hits_in_row = 1
+            data_start = act_time + tRCD
+            if log is not None:
+                column_cmd = _wr if request.is_write else _rd
+                log.append(TimedCommand(
+                    data_start, column_cmd(bank_id, request.column, rank=rank)
+                ))
+            # Throttling (BlockHammer) stalls the issuing chain, not
+            # the bank: other requests keep flowing while the aggressor
+            # waits.
+            finish = data_start + tCL + tBL + chain_delay
+
+            # Preventive actions are real DRAM activations: they occupy
+            # the bank *and* consume rank-level ACT bandwidth
+            # (tRRD/tFAW), which is how low-threshold defenses saturate
+            # the memory system.
+            free_at = data_start + tBL
+            for occupancy in preventive:
+                act = max(free_at, rank_last_act[rank] + tRRD_S)
+                if len(window) == 4:
+                    act = max(act, window[0] + tFAW)
+                window.append(act)
+                rank_last_act[rank] = act
+                free_at = act + occupancy
+            busy_until[bank_id] = free_at
+            if preventive:
+                # The preventive activations end with the bank
+                # precharged; the just-opened demand row is lost.
+                bank.open_row = None
+                bank.hits_in_row = 0
+                if log is not None:
+                    # Preventive bursts are modeled as opaque bank-busy
+                    # time (each occupancy already includes a full row
+                    # cycle), so only the closing precharge is
+                    # observable: the bank is usable again tRP after it.
+                    log.append(TimedCommand(
+                        free_at - tRP, _pre(bank_id, rank=rank)
+                    ))
+            return finish
 
         def try_schedule(bank_id: int, now: float) -> None:
             nonlocal total_completed, queued_total
             bank = banks[bank_id]
-            while bank.queue:
+            queue = bank.queue
+            while queue:
                 busy = busy_until[bank_id]
                 if busy > now + 1e-9:
                     if busy < wake_at[bank_id]:
                         wake_at[bank_id] = busy
-                        push(busy, "bank_free", (bank_id,))
+                        push(busy, _BANK_FREE, bank_id)
                     return
-                request = pick(bank, column_cap)
+                # FR-FCFS with a column cap: prefer row hits, oldest
+                # first.
+                request = None
+                open_row = bank.open_row
+                if open_row is not None and bank.hits_in_row < column_cap:
+                    for index, candidate in enumerate(queue):
+                        if candidate.row == open_row:
+                            del queue[index]
+                            request = candidate
+                            break
+                if request is None:
+                    request = queue.popleft()
                 queued_total -= 1
-                if not bank.queue:
+                if not queue:
                     has_queue[bank_id] = False
                 start = max(now, busy)
-                finish = service(
-                    bank, bank_id, request, start,
-                    rank_act_windows, rank_last_act, rank_of, busy_until,
-                )
+                finish = service(bank, bank_id, request, start)
                 request.completion_ns = finish
                 core = request.core
                 completed[core] += 1
                 total_completed += 1
                 total_latency[core] += finish - request.arrival_ns
-                in_flight[core] -= 1
                 finish_time[core] = max(finish_time[core], finish)
                 if issued[core] < requests_per_core:
                     step = traces[core].next_step(request.chain)
                     issued[core] += 1
-                    push(finish + step.gap_ns, "arrival", (core, request.chain, step))
+                    push(finish + step.gap_ns, _ARRIVAL, (core, request.chain, step))
                 now = max(now, finish)
 
         # ------------------------------------------------------------------
@@ -284,97 +451,94 @@ class MemorySystem:
         queued_total = 0
 
         while heap:
-            time, _, kind, payload = heapq.heappop(heap)
+            time, _, kind, payload = heappop(heap)
             last_time = max(last_time, time)
-            if kind == "arrival":
+            if kind == _ARRIVAL:
                 core, chain, step = payload
+                bank_id = step.bank % n_banks
                 request = MemoryRequest(
-                    core=core,
-                    bank=step.bank % n_banks,
-                    row=step.row % config.rows_per_bank,
-                    column=step.column % config.columns_per_row,
-                    is_write=step.is_write,
-                    arrival_ns=time,
-                    chain=chain,
+                    core,
+                    bank_id,
+                    step.row % rows_per_bank,
+                    step.column % columns_per_row,
+                    step.is_write,
+                    time,
+                    chain,
                 )
-                in_flight[core] += 1
-                banks[request.bank].queue.append(request)
+                banks[bank_id].queue.append(request)
                 queued_total += 1
-                has_queue[request.bank] = True
-                try_schedule(request.bank, time)
-            elif kind == "bank_free":
+                has_queue[bank_id] = True
+                try_schedule(bank_id, time)
+            elif kind == _BANK_FREE:
                 # Drain every bank_free at this timestamp in one go.
                 # Banks are independent at equal times (nothing a bank's
                 # scheduling does can retroactively wake another bank at
                 # the *same* instant), so this batches the heap churn
                 # without reordering any service decision.
-                wake_at[payload[0]] = np.inf
-                try_schedule(payload[0], time)
-                while heap and heap[0][0] == time and heap[0][2] == "bank_free":
-                    _, _, _, next_payload = heapq.heappop(heap)
-                    wake_at[next_payload[0]] = np.inf
-                    try_schedule(next_payload[0], time)
-            elif kind == "refresh" and refresh_slices > 1:
+                wake_at[payload] = _INF
+                try_schedule(payload, time)
+                while heap and heap[0][0] == time and heap[0][2] == _BANK_FREE:
+                    next_bank = heappop(heap)[3]
+                    wake_at[next_bank] = _INF
+                    try_schedule(next_bank, time)
+            elif kind == _REFRESH and refresh_slices > 1:
                 # Sliced refresh (LPDDR4 per-bank / DDR5 same-bank):
-                # each REF locks only its slice's banks, scalar path.
+                # each REF locks only its slice's banks.
                 refreshes += 1
-                slice_index = payload[0]
-                for bank_id in refresh_targets[slice_index]:
-                    ref_start = max(float(busy_until[bank_id]), time)
-                    if command_log is not None:
-                        command_log.append(TimedCommand(
+                for bank_id in refresh_targets[payload]:
+                    ref_start = max(busy_until[bank_id], time)
+                    if log is not None:
+                        log.append(TimedCommand(
                             ref_start,
                             Command(
                                 CommandKind.REF,
-                                rank=rank_of(bank_id),
+                                rank=bank_id // banks_per_rank,
                                 bank=bank_id,
                             ),
                         ))
-                    busy_until[bank_id] = ref_start + refresh_latency
+                    free = ref_start + refresh_latency
+                    busy_until[bank_id] = free
                     banks[bank_id].open_row = None
-                    if has_queue[bank_id] and busy_until[bank_id] < wake_at[bank_id]:
-                        wake_at[bank_id] = busy_until[bank_id]
-                        push(float(busy_until[bank_id]), "bank_free", (bank_id,))
+                    if has_queue[bank_id] and free < wake_at[bank_id]:
+                        wake_at[bank_id] = free
+                        push(free, _BANK_FREE, bank_id)
                 if total_completed < total_requests:
                     push(
                         time + refresh_interval,
-                        "refresh",
-                        ((slice_index + 1) % refresh_slices,),
+                        _REFRESH,
+                        (payload + 1) % refresh_slices,
                     )
-            elif kind == "refresh":
+            elif kind == _REFRESH:
+                # All-bank refresh, charged per bank as the bank becomes
+                # free (busy banks finish their work first).  Banks are
+                # swept in ascending order, which is the order their
+                # wake-ups are pushed.
                 refreshes += 1
-                if command_log is not None:
-                    # The all-bank refresh is charged per bank as the
-                    # bank becomes free (busy banks finish their work
-                    # first); log each bank's effective refresh start,
-                    # the instant its tRFC lockout begins.
-                    for bank_id in range(n_banks):
-                        command_log.append(TimedCommand(
-                            max(float(busy_until[bank_id]), time),
+                for bank_id in range(n_banks):
+                    ref_start = max(busy_until[bank_id], time)
+                    if log is not None:
+                        # The bank's effective refresh start: the
+                        # instant its tRFC lockout begins.
+                        log.append(TimedCommand(
+                            ref_start,
                             Command(
                                 CommandKind.REF,
-                                rank=rank_of(bank_id),
+                                rank=bank_id // banks_per_rank,
                                 bank=bank_id,
                             ),
                         ))
-                # All-bank refresh: one vectorized timing sweep instead
-                # of a per-bank pass.
-                np.maximum(busy_until, time, out=busy_until)
-                busy_until += timing.tRFC
-                for bank in banks:
-                    bank.open_row = None
-                # flatnonzero walks banks in ascending order -- the same
-                # push order the per-bank loop produced.
-                for bank_id in np.flatnonzero(has_queue & (busy_until < wake_at)):
-                    wake_at[bank_id] = busy_until[bank_id]
-                    push(busy_until[bank_id], "bank_free", (int(bank_id),))
+                    free = ref_start + tRFC
+                    busy_until[bank_id] = free
+                    banks[bank_id].open_row = None
+                    if has_queue[bank_id] and free < wake_at[bank_id]:
+                        wake_at[bank_id] = free
+                        push(free, _BANK_FREE, bank_id)
                 if total_completed < total_requests:
-                    push(time + timing.tREFI, "refresh", ())
-            elif kind == "epoch":
-                if self.defense is not None:
-                    self.defense.on_refresh_window(time)
-                    if total_completed < total_requests:
-                        push(time + epoch_ns, "epoch", ())
+                    push(time + timing.tREFI, _REFRESH, 0)
+            elif kind == _EPOCH:
+                defense.on_refresh_window(time)
+                if total_completed < total_requests:
+                    push(time + epoch_ns, _EPOCH, None)
             if total_completed >= total_requests and queued_total == 0:
                 break
 
@@ -390,165 +554,8 @@ class MemorySystem:
         return SimulationResult(
             cores=cores,
             total_ns=float(last_time),
-            row_hits=self._stat_row_hits,
-            row_misses=self._stat_row_misses,
-            activations=self._stat_activations,
+            row_hits=row_hits,
+            row_misses=row_misses,
+            activations=activations,
             refreshes_issued=refreshes,
         )
-
-    # ------------------------------------------------------------------
-
-    def _pick(self, bank: _BankState, column_cap: int) -> MemoryRequest:
-        """FR-FCFS with a column cap: prefer row hits, oldest first."""
-        if bank.open_row is not None and bank.hits_in_row < column_cap:
-            for index, request in enumerate(bank.queue):
-                if request.row == bank.open_row:
-                    del bank.queue[index]
-                    return request
-        return bank.queue.popleft()
-
-    def _service(
-        self,
-        bank: _BankState,
-        bank_id: int,
-        request: MemoryRequest,
-        start: float,
-        rank_act_windows: List[deque],
-        rank_last_act: List[float],
-        rank_of,
-        busy_until: np.ndarray,
-    ) -> float:
-        """Serve one request; returns its completion time."""
-        # One attribute fetch per timing parameter per call: this is
-        # the hottest function in a Fig 12 sweep, and the dataclass
-        # attribute walk (self -> config -> timing -> field) shows up.
-        timing = self.config.timing
-        tRCD = timing.tRCD
-        tCL = timing.tCL
-        tBL = timing.tBL
-        log = self._command_log
-        t = start
-        if bank.open_row == request.row:
-            self._stat_row_hits += 1
-            data_start = max(t, bank.last_act_ns + tRCD)
-            # Summed left-to-right exactly as before the locals were
-            # hoisted: float addition is order-sensitive and these
-            # results are golden-protected bit-for-bit.
-            finish = data_start + tCL + tBL
-            busy_until[bank_id] = data_start + timing.column_to_column_ns
-            bank.hits_in_row += 1
-            if log is not None:
-                column_cmd = _wr if request.is_write else _rd
-                log.append(TimedCommand(
-                    data_start,
-                    column_cmd(bank_id, request.column, rank=rank_of(bank_id)),
-                ))
-            return finish
-
-        # Row miss: precharge (if open) + activate.  The scheduler
-        # does not track bank-group adjacency, so it paces ACTs at the
-        # generation's rank-level minimum (tRRD_S with bank groups,
-        # the single tRRD without).
-        tRRD_S = timing.act_to_act_ns
-        tFAW = timing.tFAW
-        rank = rank_of(bank_id)
-        self._stat_row_misses += 1
-        if bank.open_row is not None:
-            # Split from the original one-liner `t = max(...) + tRP`
-            # with identical operations in identical order, so the
-            # PRE issue time is observable for the log.
-            t = max(t, bank.last_act_ns + timing.tRAS)
-            if log is not None:
-                log.append(TimedCommand(t, _pre(bank_id, rank=rank)))
-            t = t + timing.tRP
-        act_time = max(t, rank_last_act[rank] + tRRD_S)
-        window = rank_act_windows[rank]
-        if len(window) == 4:
-            act_time = max(act_time, window[0] + tFAW)
-        if log is not None:
-            log.append(TimedCommand(
-                act_time, _act(bank_id, request.row, rank=rank)
-            ))
-
-        chain_delay = 0.0
-        preventive: List[float] = []
-        if self.defense is not None:
-            mitigations = self.defense.on_activation(bank_id, request.row, act_time)
-            chain_delay, preventive = self._mitigation_costs(mitigations)
-        self._stat_activations += 1
-
-        rank_last_act[rank] = act_time
-        window.append(act_time)
-
-        bank.open_row = request.row
-        bank.last_act_ns = act_time
-        bank.hits_in_row = 1
-        data_start = act_time + tRCD
-        if log is not None:
-            column_cmd = _wr if request.is_write else _rd
-            log.append(TimedCommand(
-                data_start, column_cmd(bank_id, request.column, rank=rank)
-            ))
-        # Throttling (BlockHammer) stalls the issuing chain, not the
-        # bank: other requests keep flowing while the aggressor waits.
-        finish = data_start + tCL + tBL + chain_delay
-
-        # Preventive actions are real DRAM activations: they occupy the
-        # bank *and* consume rank-level ACT bandwidth (tRRD/tFAW), which
-        # is how low-threshold defenses saturate the memory system.
-        free_at = data_start + tBL
-        for occupancy in preventive:
-            act = max(free_at, rank_last_act[rank] + tRRD_S)
-            if len(window) == 4:
-                act = max(act, window[0] + tFAW)
-            window.append(act)
-            rank_last_act[rank] = act
-            free_at = act + occupancy
-        busy_until[bank_id] = free_at
-        if preventive:
-            # The preventive activations end with the bank precharged;
-            # the just-opened demand row is lost.
-            bank.open_row = None
-            bank.hits_in_row = 0
-            if log is not None:
-                # Preventive bursts are modeled as opaque bank-busy
-                # time (each occupancy already includes a full row
-                # cycle), so only the closing precharge is observable:
-                # the bank is usable again tRP after it.
-                log.append(TimedCommand(
-                    free_at - timing.tRP, _pre(bank_id, rank=rank)
-                ))
-        return finish
-
-    def _mitigation_costs(
-        self, mitigations: Sequence[Mitigation]
-    ) -> Tuple[float, List[float]]:
-        """(chain delay, per-preventive-ACT occupancy list) of actions.
-
-        Each entry of the occupancy list is one preventive activation
-        and the time the bank stays busy with it: a row cycle for a
-        victim refresh or counter access, a row cycle plus the column
-        burst for each half of a migration/swap.
-        """
-        costs = self.costs
-        burst = self.config.columns_per_row * self.config.timing.column_to_column_ns
-        delay = 0.0
-        preventive: List[float] = []
-        for mitigation in mitigations:
-            if isinstance(mitigation, ThrottleDelay):
-                delay += mitigation.delay_ns
-            elif isinstance(mitigation, VictimRefresh):
-                preventive.extend(
-                    [costs.victim_refresh_ns] * len(mitigation.rows)
-                )
-            elif isinstance(mitigation, RowMigration):
-                # Read the source row out, write the destination row.
-                preventive.extend([costs.victim_refresh_ns + burst] * 2)
-            elif isinstance(mitigation, RowSwap):
-                preventive.extend([costs.victim_refresh_ns + burst] * 4)
-            elif isinstance(mitigation, CounterTraffic):
-                preventive.extend(
-                    [costs.counter_access_ns]
-                    * (mitigation.reads + mitigation.writes)
-                )
-        return delay, preventive

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
-    """One DRAM request as seen by the memory controller."""
+    """One DRAM request as seen by the memory controller.
+
+    The engine builds one per simulated request, so the record is
+    slotted and unvalidated: the engine reduces every coordinate
+    modulo its (positive) bank, row and column counts before it
+    constructs the record.
+    """
 
     core: int
     bank: int  # flat bank id across ranks
@@ -18,10 +24,6 @@ class MemoryRequest:
     arrival_ns: float = 0.0
     chain: int = 0
     completion_ns: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.core < 0 or self.bank < 0 or self.row < 0 or self.column < 0:
-            raise ValueError("request coordinates must be non-negative")
 
     @property
     def latency_ns(self) -> float:

@@ -73,9 +73,14 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             _ = request.latency_ns
 
-    def test_negative_coordinates_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryRequest(core=-1, bank=0, row=0, column=0)
+    def test_slotted_record(self):
+        # One record per simulated request: no per-instance __dict__.
+        request = MemoryRequest(0, 1, 2, 3, True, 5.0, 1)
+        assert not hasattr(request, "__dict__")
+        assert (request.bank, request.row, request.column) == (1, 2, 3)
+        assert request.is_write and request.chain == 1
+        with pytest.raises(AttributeError):
+            request.priority = 1
 
 
 class TestEngineBasics:
