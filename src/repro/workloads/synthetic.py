@@ -67,7 +67,6 @@ class SyntheticTrace:
         n = min(profile.working_set_rows, rows_per_bank)
         rows = self._rng.choice(rows_per_bank, size=n, replace=False)
         weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** profile.zipf_exponent
-        self._rows = rows
         self._probs = weights / weights.sum()
         banks = self._rng.choice(
             total_banks, size=min(profile.banks_used, total_banks), replace=False
@@ -75,19 +74,26 @@ class SyntheticTrace:
         # Each working-set row lives in one fixed bank (as a physical
         # page does); hot rows therefore concentrate activations on one
         # (bank, row) pair -- the behaviour activation-count defenses
-        # react to.
+        # react to.  Both tables are read once per request, so they
+        # are kept as lists of Python ints.
+        self._rows = rows.tolist()
         self._bank_of_row = banks[
             self._rng.integers(0, len(banks), size=n)
-        ]
+        ].tolist()
+        self._row_locality = profile.row_locality
+        self._write_ratio = profile.write_ratio
         self._chain_state: Dict[int, Tuple[int, int, int]] = {}
         self._row_batch = np.empty(0, dtype=np.int64)
         self._uniform_batch = np.empty(0)
         self._gap_batch = np.empty(0)
-        self._batch_pos = 0
+        # Exhausted: the first draw refills.
+        self._batch_pos = _BATCH
 
     # ------------------------------------------------------------------
 
     def _refill(self) -> None:
+        # Draw order is part of every golden: rows, then the
+        # (locality, bank, write) uniforms, then the gaps.
         self._row_batch = self._rng.choice(
             len(self._rows), size=_BATCH, p=self._probs
         )
@@ -97,31 +103,29 @@ class SyntheticTrace:
         )
         self._batch_pos = 0
 
-    def _draw(self) -> Tuple[int, float, float, float, float]:
-        if self._batch_pos >= _BATCH:
-            self._refill()
-        if len(self._row_batch) == 0:
-            self._refill()
-        i = self._batch_pos
-        self._batch_pos += 1
-        u = self._uniform_batch[i]
-        return int(self._row_batch[i]), u[0], u[1], u[2], float(self._gap_batch[i])
-
     def next_step(self, chain: int) -> TraceStep:
-        row_index, u_local, u_bank, u_write, gap = self._draw()
+        # Batch values are read one at a time with ``ndarray.item``,
+        # which returns a Python scalar without building a numpy one;
+        # a whole-batch ``tolist()`` would cost more memory than it
+        # saves time.
+        i = self._batch_pos
+        if i >= _BATCH:
+            self._refill()
+            i = 0
+        self._batch_pos = i + 1
+        uniform = self._uniform_batch
         state = self._chain_state.get(chain)
-        if state is not None and u_local < self.profile.row_locality:
+        if state is not None and uniform.item(i, 0) < self._row_locality:
             bank, row, column = state
             column = (column + 1) % self.columns_per_row
         else:
-            bank = int(self._bank_of_row[row_index])
-            row = int(self._rows[row_index])
+            row_index = self._row_batch.item(i)
+            bank = self._bank_of_row[row_index]
+            row = self._rows[row_index]
             column = 0
         self._chain_state[chain] = (bank, row, column)
         return TraceStep(
-            bank=bank,
-            row=row,
-            column=column,
-            is_write=u_write < self.profile.write_ratio,
-            gap_ns=gap,
+            bank, row, column,
+            uniform.item(i, 2) < self._write_ratio,
+            self._gap_batch.item(i),
         )
