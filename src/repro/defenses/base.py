@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.svard import Svard
 
@@ -140,6 +140,7 @@ class Defense(ABC):
         self.rows_per_bank = rows_per_bank
         self.seed = seed
         self.stats = DefenseStats()
+        self._victim_thresholds: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
 
@@ -162,11 +163,26 @@ class Defense(ABC):
         return tuple(victims)
 
     def min_victim_threshold(self, bank: int, row: int) -> float:
-        """The binding threshold of one activation: its weakest victim."""
-        victims = self.victim_rows(row)
-        if not victims:
-            return self.hc_first
-        return min(self.thresholds.threshold(bank, v) for v in victims)
+        """The binding threshold of one activation: its weakest victim.
+
+        Memoized per ``(bank, row)`` on first use: thresholds are
+        static for a whole simulation, and a defense asks on every
+        ACT.  The memo fills lazily because an eager per-row table
+        would cost a full bank's worth of lookups (128K rows at the
+        paper's geometry) for the few hundred rows a run activates.
+        """
+        key = (bank, row)
+        threshold = self._victim_thresholds.get(key)
+        if threshold is None:
+            victims = self.victim_rows(row)
+            if not victims:
+                threshold = self.hc_first
+            else:
+                threshold = min(
+                    self.thresholds.threshold(bank, v) for v in victims
+                )
+            self._victim_thresholds[key] = threshold
+        return threshold
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.defenses.base import Defense, Mitigation, VictimRefresh
 
@@ -32,6 +32,11 @@ class Para(Defense):
         self.security_bits = security_bits
         self._coefficient = math.log(2.0) * security_bits
         self._rng = random.Random(self.seed)
+        #: ``(bank, row) -> ((victim, p), ...)``, filled on first use:
+        #: thresholds, hence probabilities, are static for a run.
+        self._victim_probabilities: Dict[
+            Tuple[int, int], Tuple[Tuple[int, float], ...]
+        ] = {}
 
     def refresh_probability(self, threshold: float) -> float:
         """Per-activation refresh probability for one victim."""
@@ -39,10 +44,20 @@ class Para(Defense):
 
     def on_activation(self, bank: int, row: int, now_ns: float) -> List[Mitigation]:
         self.stats.activations_observed += 1
+        key = (bank, row)
+        victims = self._victim_probabilities.get(key)
+        if victims is None:
+            victims = tuple(
+                (victim, self.refresh_probability(
+                    self.thresholds.threshold(bank, victim)
+                ))
+                for victim in self.victim_rows(row)
+            )
+            self._victim_probabilities[key] = victims
         refresh_rows = []
-        for victim in self.victim_rows(row):
-            p = self.refresh_probability(self.thresholds.threshold(bank, victim))
-            if self._rng.random() < p:
+        draw = self._rng.random
+        for victim, p in victims:
+            if draw() < p:
                 refresh_rows.append(victim)
         if not refresh_rows:
             return []

@@ -376,6 +376,33 @@ class TestSvardIntegration:
         assert fired_at is not None
         assert fired_at <= own_threshold * defense.migrate_fraction + 1
 
+    @pytest.mark.parametrize("name", sorted(DEFENSE_CLASSES))
+    def test_threshold_memo_sits_behind_the_provider(self, name):
+        """Each victim's threshold is fetched through the provider once
+        per activated (bank, row), whatever the ACT count."""
+        provider, _ = make_svard_provider()
+        counting = CountingThresholds(provider)
+        defense = DEFENSE_CLASSES[name](
+            1024, thresholds=counting, rows_per_bank=2048, seed=0
+        )
+        for i in range(300):
+            for row in (0, 700, 701):
+                defense.on_activation(0, row, i * 50.0)
+        # Row 0 has one victim; rows 700 and 701 have two each.
+        assert counting.calls == 5
+
+
+class CountingThresholds:
+    """A provider proxy that counts lookups, as a tracing proxy would."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def threshold(self, bank: int, row: int) -> float:
+        self.calls += 1
+        return self.inner.threshold(bank, row)
+
 
 class TestMakeDefense:
     def test_blockhammer_epoch_follows_the_engine(self):
