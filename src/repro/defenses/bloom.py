@@ -9,8 +9,8 @@ mechanism needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -26,26 +26,45 @@ class CountingBloomFilter:
     def __post_init__(self) -> None:
         if self.n_counters < 1 or self.n_hashes < 1:
             raise ValueError("filter dimensions must be positive")
-        self._counters = np.zeros(self.n_counters, dtype=np.int64)
+        self._counters = [0] * self.n_counters
         self._insertions = 0
         rng = np.random.default_rng(self.seed)
         # Odd multipliers give full-period multiplicative hashes.
-        self._multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
-        self._offsets = rng.integers(0, 2**31, size=self.n_hashes)
+        multipliers = rng.integers(1, 2**31, size=self.n_hashes) * 2 + 1
+        offsets = rng.integers(0, 2**31, size=self.n_hashes)
+        self._hashes = tuple(zip(multipliers.tolist(), offsets.tolist()))
+        self._index_memo: Dict[int, Tuple[int, ...]] = {}
 
-    def _indices(self, key: int) -> np.ndarray:
-        return ((key * self._multipliers + self._offsets) >> 7) % self.n_counters
+    def _indices(self, key: int) -> Tuple[int, ...]:
+        """The distinct counters ``key`` hashes to, memoized per key.
+
+        Keys are row addresses, far below 2**31, so Python's exact
+        integers give the same indices the int64 hash did.  A counter
+        hit by two of a key's hashes appears once: each insert bumps it
+        once (716 of 131072 rows collide under seed 0).
+        """
+        indices = self._index_memo.get(key)
+        if indices is None:
+            n = self.n_counters
+            indices = tuple(dict.fromkeys(
+                ((key * multiplier + offset) >> 7) % n
+                for multiplier, offset in self._hashes
+            ))
+            self._index_memo[key] = indices
+        return indices
 
     def insert(self, key: int) -> None:
-        self._counters[self._indices(key)] += 1
+        counters = self._counters
+        for index in self._indices(key):
+            counters[index] += 1
         self._insertions += 1
 
     def estimate(self, key: int) -> int:
         """Count estimate: never below the true insertion count."""
-        return int(self._counters[self._indices(key)].min())
+        return min(map(self._counters.__getitem__, self._indices(key)))
 
     def clear(self) -> None:
-        self._counters[:] = 0
+        self._counters = [0] * self.n_counters
         self._insertions = 0
 
     @property
