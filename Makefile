@@ -4,7 +4,7 @@
 #   make test           tier-1 test suite + recipes smoke + report smoke +
 #                       queue chaos smoke + service smoke + kernels smoke
 #                       + profile smoke + conformance smoke + generations
-#                       smoke (CI gate)
+#                       smoke + perfbench self-check (CI gate)
 #   make smoke          runner `list` + every experiment at tiny scale (JSON)
 #   make recipes-smoke  every checked-in recipe at tiny scale on the queue
 #                       backend (1 worker), byte-diffed against serial
@@ -44,6 +44,10 @@
 #                       generation's own rulebook (zero violations),
 #                       plus a byte-diff of DDR4 `runner check-timing`
 #                       against the pre-refactor golden
+#   make perfbench-selfcheck
+#                       the repository benchmark (perfbench/) at tiny
+#                       scale, traced and untraced: every cell checks
+#                       out and every BENCHMARK.json metric is reported
 #   make golden         regenerate tests/golden/*.json snapshots
 #   make clean-cache    drop the on-disk orchestration result cache
 #
@@ -58,6 +62,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke recipes-smoke queue-smoke report-smoke service-smoke \
         kernels-smoke profile-smoke conformance-smoke generations-smoke \
+        perfbench-selfcheck \
         figures bench-smoke bench bench-backends bench-kernels bench-engine golden \
         worker serve clean-cache
 
@@ -71,6 +76,7 @@ test:
 	$(MAKE) profile-smoke
 	$(MAKE) conformance-smoke
 	$(MAKE) generations-smoke
+	$(MAKE) perfbench-selfcheck
 
 report-smoke:
 	$(PYTHON) scripts/report_smoke.py
@@ -92,6 +98,9 @@ conformance-smoke:
 
 generations-smoke:
 	$(PYTHON) scripts/generations_smoke.py
+
+perfbench-selfcheck:
+	$(PYTHON) perfbench/selfcheck.py
 
 smoke:
 	$(PYTHON) -m repro.experiments.runner list

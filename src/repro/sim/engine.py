@@ -17,8 +17,8 @@ defenses' overheads come from.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.defenses.base import (
