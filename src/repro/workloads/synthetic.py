@@ -80,8 +80,6 @@ class SyntheticTrace:
         self._bank_of_row = banks[
             self._rng.integers(0, len(banks), size=n)
         ].tolist()
-        self._row_locality = profile.row_locality
-        self._write_ratio = profile.write_ratio
         self._chain_state: Dict[int, Tuple[int, int, int]] = {}
         self._row_batch = np.empty(0, dtype=np.int64)
         self._uniform_batch = np.empty(0)
@@ -115,7 +113,7 @@ class SyntheticTrace:
         self._batch_pos = i + 1
         uniform = self._uniform_batch
         state = self._chain_state.get(chain)
-        if state is not None and uniform.item(i, 0) < self._row_locality:
+        if state is not None and uniform.item(i, 0) < self.profile.row_locality:
             bank, row, column = state
             column = (column + 1) % self.columns_per_row
         else:
@@ -126,6 +124,6 @@ class SyntheticTrace:
         self._chain_state[chain] = (bank, row, column)
         return TraceStep(
             bank, row, column,
-            uniform.item(i, 2) < self._write_ratio,
+            uniform.item(i, 2) < self.profile.write_ratio,
             self._gap_batch.item(i),
         )
