@@ -145,7 +145,8 @@ serve:
 
 golden:
 	$(PYTHON) -m pytest tests/test_golden.py tests/test_experiment_api.py \
-		tests/test_report.py tests/test_engine_digest.py -q --update-golden
+		tests/test_report.py tests/test_engine_digest.py \
+		tests/test_trace_digest.py -q --update-golden
 
 clean-cache:
 	rm -rf .repro_cache
