@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.defenses.base import (
@@ -41,7 +42,6 @@ from repro.dram.commands import (
 )
 from repro.dram.timing import REFRESH_PER_BANK
 from repro.sim.config import MitigationCosts, SystemConfig
-from repro.sim.request import MemoryRequest
 
 _INF = float("inf")
 
@@ -187,22 +187,27 @@ class MemorySystem:
         activations = 0
         refreshes = 0
 
+        # Heap entries are ``(time, seq, kind, payload)``; ``seq`` breaks
+        # time ties in push order.
         heap: List[Tuple[float, int, int, object]] = []
-        seq = 0
+        next_seq = count().__next__
+        next_steps = [trace.next_step for trace in self.traces]
+        rows_per_bank = config.rows_per_bank
+        columns_per_row = config.columns_per_row
 
-        def push(time: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heappush(heap, (time, seq, kind, payload))
-            seq += 1
-
-        # Initial chain arrivals.
+        # Initial chain arrivals.  An arrival's payload is the queued
+        # request record itself (see try_schedule), built here with
+        # its coordinates reduced modulo the geometry.
         issued = [0] * config.cores
         for core in range(config.cores):
             chains = min(config.mlp_per_core, config.requests_per_core)
             for chain in range(chains):
-                step = self.traces[core].next_step(chain)
+                bank, row, column, is_write, gap = next_steps[core](chain)
                 issued[core] += 1
-                push(step.gap_ns, _ARRIVAL, (core, chain, step))
+                heappush(heap, (gap, next_seq(), _ARRIVAL, (
+                    row % rows_per_bank, core, chain, gap,
+                    column % columns_per_row, is_write, bank % n_banks,
+                )))
 
         # Periodic refresh and defense epochs.  All-bank generations
         # (DDR4) issue one REF per tREFI; sliced generations rotate --
@@ -215,7 +220,7 @@ class MemorySystem:
             banks_per_group=config.banks_per_group,
         )
         if refresh_slices == 1:
-            push(timing.tREFI, _REFRESH, 0)
+            heappush(heap, (timing.tREFI, next_seq(), _REFRESH, 0))
         else:
             refresh_interval = timing.tREFI / refresh_slices
             refresh_latency = timing.refresh_latency_ns
@@ -238,10 +243,10 @@ class MemorySystem:
                     ]
                     for k in range(refresh_slices)
                 ]
-            push(refresh_interval, _REFRESH, 0)
+            heappush(heap, (refresh_interval, next_seq(), _REFRESH, 0))
         epoch_ns = config.defense_epoch_ns or timing.tREFW
         if defense is not None:
-            push(epoch_ns, _EPOCH, None)
+            heappush(heap, (epoch_ns, next_seq(), _EPOCH, None))
 
         # Hot-loop locals: every timing parameter, derived cost and
         # bound method the per-request path touches is read once here,
@@ -250,9 +255,6 @@ class MemorySystem:
         banks_per_rank = config.banks_per_rank
         column_cap = config.column_cap
         requests_per_core = config.requests_per_core
-        rows_per_bank = config.rows_per_bank
-        columns_per_row = config.columns_per_row
-        traces = self.traces
         tRCD = timing.tRCD
         tCL = timing.tCL
         tBL = timing.tBL
@@ -303,107 +305,23 @@ class MemorySystem:
                     )
             return delay, preventive
 
-        def service(
-            bank: _BankState, bank_id: int, request: MemoryRequest, start: float
-        ) -> float:
-            """Serve one request; returns its completion time."""
-            nonlocal row_hits, row_misses, activations
-            row = request.row
-            open_row = bank.open_row
-            if open_row == row:
-                row_hits += 1
-                data_start = max(start, bank.last_act_ns + tRCD)
-                # Summed left-to-right: float addition is
-                # order-sensitive and these results are
-                # golden-protected bit-for-bit.
-                finish = data_start + tCL + tBL
-                busy_until[bank_id] = data_start + column_to_column
-                bank.hits_in_row += 1
-                if log is not None:
-                    column_cmd = _wr if request.is_write else _rd
-                    log.append(TimedCommand(
-                        data_start,
-                        column_cmd(
-                            bank_id, request.column,
-                            rank=bank_id // banks_per_rank,
-                        ),
-                    ))
-                return finish
-
-            # Row miss: precharge (if open) + activate.
-            rank = bank_id // banks_per_rank
-            row_misses += 1
-            t = start
-            if open_row is not None:
-                # Split from the one-liner `t = max(...) + tRP` with
-                # identical operations in identical order, so the PRE
-                # issue time is observable for the log.
-                t = max(t, bank.last_act_ns + tRAS)
-                if log is not None:
-                    log.append(TimedCommand(t, _pre(bank_id, rank=rank)))
-                t = t + tRP
-            act_time = max(t, rank_last_act[rank] + tRRD_S)
-            window = rank_act_windows[rank]
-            if len(window) == 4:
-                act_time = max(act_time, window[0] + tFAW)
-            if log is not None:
-                log.append(TimedCommand(act_time, _act(bank_id, row, rank=rank)))
-
-            chain_delay = 0.0
-            preventive: Sequence[float] = ()
-            if on_activation is not None:
-                mitigations = on_activation(bank_id, row, act_time)
-                if mitigations:
-                    chain_delay, preventive = mitigation_costs(mitigations)
-            activations += 1
-
-            rank_last_act[rank] = act_time
-            window.append(act_time)
-
-            bank.open_row = row
-            bank.last_act_ns = act_time
-            bank.hits_in_row = 1
-            data_start = act_time + tRCD
-            if log is not None:
-                column_cmd = _wr if request.is_write else _rd
-                log.append(TimedCommand(
-                    data_start, column_cmd(bank_id, request.column, rank=rank)
-                ))
-            # Throttling (BlockHammer) stalls the issuing chain, not
-            # the bank: other requests keep flowing while the aggressor
-            # waits.
-            finish = data_start + tCL + tBL + chain_delay
-
-            # Preventive actions are real DRAM activations: they occupy
-            # the bank *and* consume rank-level ACT bandwidth
-            # (tRRD/tFAW), which is how low-threshold defenses saturate
-            # the memory system.
-            free_at = data_start + tBL
-            for occupancy in preventive:
-                act = max(free_at, rank_last_act[rank] + tRRD_S)
-                if len(window) == 4:
-                    act = max(act, window[0] + tFAW)
-                window.append(act)
-                rank_last_act[rank] = act
-                free_at = act + occupancy
-            busy_until[bank_id] = free_at
-            if preventive:
-                # The preventive activations end with the bank
-                # precharged; the just-opened demand row is lost.
-                bank.open_row = None
-                bank.hits_in_row = 0
-                if log is not None:
-                    # Preventive bursts are modeled as opaque bank-busy
-                    # time (each occupancy already includes a full row
-                    # cycle), so only the closing precharge is
-                    # observable: the bank is usable again tRP after it.
-                    log.append(TimedCommand(
-                        free_at - tRP, _pre(bank_id, rank=rank)
-                    ))
-            return finish
-
         def try_schedule(bank_id: int, now: float) -> None:
+            """Serve ``bank_id``'s queue from ``now`` until the bank is busy.
+
+            The one closure call per scheduled request: picking,
+            servicing and completing a request are inlined here.  Each
+            two-argument ``max(a, b)`` of the timing arithmetic is
+            written ``b if b > a else a`` (``max`` returns ``a`` unless
+            ``b > a``; the comparison keeps that tie rule and skips a
+            builtin call).
+
+            A queued request is the tuple ``(row, core, chain,
+            arrival_ns, column, is_write, bank)``, built when its
+            arrival is pushed: a plain tuple costs no Python-level
+            constructor, and the FR-FCFS scan reads ``candidate[0]``.
+            """
             nonlocal total_completed, queued_total
+            nonlocal row_hits, row_misses, activations
             bank = banks[bank_id]
             queue = bank.queue
             while queue:
@@ -411,7 +329,7 @@ class MemorySystem:
                 if busy > now + 1e-9:
                     if busy < wake_at[bank_id]:
                         wake_at[bank_id] = busy
-                        push(busy, _BANK_FREE, bank_id)
+                        heappush(heap, (busy, next_seq(), _BANK_FREE, bank_id))
                     return
                 # FR-FCFS with a column cap: prefer row hits, oldest
                 # first.
@@ -419,7 +337,7 @@ class MemorySystem:
                 open_row = bank.open_row
                 if open_row is not None and bank.hits_in_row < column_cap:
                     for index, candidate in enumerate(queue):
-                        if candidate.row == open_row:
+                        if candidate[0] == open_row:
                             del queue[index]
                             request = candidate
                             break
@@ -428,19 +346,131 @@ class MemorySystem:
                 queued_total -= 1
                 if not queue:
                     has_queue[bank_id] = False
-                start = max(now, busy)
-                finish = service(bank, bank_id, request, start)
-                request.completion_ns = finish
-                core = request.core
+                start = busy if busy > now else now
+                row, core, chain, arrival_ns, column, is_write, _ = request
+
+                if open_row == row:
+                    row_hits += 1
+                    data_start = bank.last_act_ns + tRCD
+                    if not data_start > start:
+                        data_start = start
+                    # Summed left-to-right: float addition is
+                    # order-sensitive and these results are
+                    # golden-protected bit-for-bit.
+                    finish = data_start + tCL + tBL
+                    busy_until[bank_id] = data_start + column_to_column
+                    bank.hits_in_row += 1
+                    if log is not None:
+                        column_cmd = _wr if is_write else _rd
+                        log.append(TimedCommand(
+                            data_start,
+                            column_cmd(
+                                bank_id, column, rank=bank_id // banks_per_rank,
+                            ),
+                        ))
+                else:
+                    # Row miss: precharge (if open) + activate.
+                    rank = bank_id // banks_per_rank
+                    row_misses += 1
+                    t = start
+                    if open_row is not None:
+                        # Split from the one-liner `t = max(...) + tRP`
+                        # with identical operations in identical order,
+                        # so the PRE issue time is observable for the
+                        # log.
+                        ready = bank.last_act_ns + tRAS
+                        if ready > t:
+                            t = ready
+                        if log is not None:
+                            log.append(TimedCommand(t, _pre(bank_id, rank=rank)))
+                        t = t + tRP
+                    act_time = rank_last_act[rank] + tRRD_S
+                    if not act_time > t:
+                        act_time = t
+                    window = rank_act_windows[rank]
+                    if len(window) == 4:
+                        ready = window[0] + tFAW
+                        if ready > act_time:
+                            act_time = ready
+                    if log is not None:
+                        log.append(TimedCommand(
+                            act_time, _act(bank_id, row, rank=rank)
+                        ))
+
+                    chain_delay = 0.0
+                    preventive: Sequence[float] = ()
+                    if on_activation is not None:
+                        mitigations = on_activation(bank_id, row, act_time)
+                        if mitigations:
+                            chain_delay, preventive = mitigation_costs(mitigations)
+                    activations += 1
+
+                    rank_last_act[rank] = act_time
+                    window.append(act_time)
+
+                    bank.open_row = row
+                    bank.last_act_ns = act_time
+                    bank.hits_in_row = 1
+                    data_start = act_time + tRCD
+                    if log is not None:
+                        column_cmd = _wr if is_write else _rd
+                        log.append(TimedCommand(
+                            data_start, column_cmd(bank_id, column, rank=rank)
+                        ))
+                    # Throttling (BlockHammer) stalls the issuing chain,
+                    # not the bank: other requests keep flowing while
+                    # the aggressor waits.
+                    finish = data_start + tCL + tBL + chain_delay
+
+                    # Preventive actions are real DRAM activations: they
+                    # occupy the bank *and* consume rank-level ACT
+                    # bandwidth (tRRD/tFAW), which is how low-threshold
+                    # defenses saturate the memory system.
+                    free_at = data_start + tBL
+                    for occupancy in preventive:
+                        act = rank_last_act[rank] + tRRD_S
+                        if not act > free_at:
+                            act = free_at
+                        if len(window) == 4:
+                            ready = window[0] + tFAW
+                            if ready > act:
+                                act = ready
+                        window.append(act)
+                        rank_last_act[rank] = act
+                        free_at = act + occupancy
+                    busy_until[bank_id] = free_at
+                    if preventive:
+                        # The preventive activations end with the bank
+                        # precharged; the just-opened demand row is lost.
+                        bank.open_row = None
+                        bank.hits_in_row = 0
+                        if log is not None:
+                            # Preventive bursts are modeled as opaque
+                            # bank-busy time (each occupancy already
+                            # includes a full row cycle), so only the
+                            # closing precharge is observable: the bank
+                            # is usable again tRP after it.
+                            log.append(TimedCommand(
+                                free_at - tRP, _pre(bank_id, rank=rank)
+                            ))
+
                 completed[core] += 1
                 total_completed += 1
-                total_latency[core] += finish - request.arrival_ns
-                finish_time[core] = max(finish_time[core], finish)
+                total_latency[core] += finish - arrival_ns
+                if finish > finish_time[core]:
+                    finish_time[core] = finish
                 if issued[core] < requests_per_core:
-                    step = traces[core].next_step(request.chain)
+                    (next_bank, next_row, next_column, next_write,
+                     gap) = next_steps[core](chain)
                     issued[core] += 1
-                    push(finish + step.gap_ns, _ARRIVAL, (core, request.chain, step))
-                now = max(now, finish)
+                    arrival = finish + gap
+                    heappush(heap, (arrival, next_seq(), _ARRIVAL, (
+                        next_row % rows_per_bank, core, chain, arrival,
+                        next_column % columns_per_row, next_write,
+                        next_bank % n_banks,
+                    )))
+                if finish > now:
+                    now = finish
 
         # ------------------------------------------------------------------
         # The event loop.
@@ -452,20 +482,11 @@ class MemorySystem:
 
         while heap:
             time, _, kind, payload = heappop(heap)
-            last_time = max(last_time, time)
+            if time > last_time:
+                last_time = time
             if kind == _ARRIVAL:
-                core, chain, step = payload
-                bank_id = step.bank % n_banks
-                request = MemoryRequest(
-                    core,
-                    bank_id,
-                    step.row % rows_per_bank,
-                    step.column % columns_per_row,
-                    step.is_write,
-                    time,
-                    chain,
-                )
-                banks[bank_id].queue.append(request)
+                bank_id = payload[6]
+                banks[bank_id].queue.append(payload)
                 queued_total += 1
                 has_queue[bank_id] = True
                 try_schedule(bank_id, time)
@@ -501,13 +522,14 @@ class MemorySystem:
                     banks[bank_id].open_row = None
                     if has_queue[bank_id] and free < wake_at[bank_id]:
                         wake_at[bank_id] = free
-                        push(free, _BANK_FREE, bank_id)
+                        heappush(heap, (free, next_seq(), _BANK_FREE, bank_id))
                 if total_completed < total_requests:
-                    push(
+                    heappush(heap, (
                         time + refresh_interval,
+                        next_seq(),
                         _REFRESH,
                         (payload + 1) % refresh_slices,
-                    )
+                    ))
             elif kind == _REFRESH:
                 # All-bank refresh, charged per bank as the bank becomes
                 # free (busy banks finish their work first).  Banks are
@@ -532,13 +554,13 @@ class MemorySystem:
                     banks[bank_id].open_row = None
                     if has_queue[bank_id] and free < wake_at[bank_id]:
                         wake_at[bank_id] = free
-                        push(free, _BANK_FREE, bank_id)
+                        heappush(heap, (free, next_seq(), _BANK_FREE, bank_id))
                 if total_completed < total_requests:
-                    push(time + timing.tREFI, _REFRESH, 0)
+                    heappush(heap, (time + timing.tREFI, next_seq(), _REFRESH, 0))
             elif kind == _EPOCH:
                 defense.on_refresh_window(time)
                 if total_completed < total_requests:
-                    push(time + epoch_ns, _EPOCH, None)
+                    heappush(heap, (time + epoch_ns, next_seq(), _EPOCH, None))
             if total_completed >= total_requests and queued_total == 0:
                 break
 

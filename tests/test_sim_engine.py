@@ -13,7 +13,6 @@ from repro.sim.metrics import (
     max_slowdown,
     weighted_speedup,
 )
-from repro.sim.request import MemoryRequest
 from repro.workloads.suites import profile_by_name
 from repro.workloads.synthetic import SyntheticTrace
 
@@ -60,27 +59,6 @@ class TestSystemConfig:
         assert costs.victim_refresh_ns < costs.counter_access_ns
         assert costs.counter_access_ns < costs.migration_ns
         assert costs.swap_ns == pytest.approx(2 * costs.migration_ns)
-
-
-class TestMemoryRequest:
-    def test_latency(self):
-        request = MemoryRequest(core=0, bank=0, row=0, column=0, arrival_ns=10.0)
-        request.completion_ns = 60.0
-        assert request.latency_ns == pytest.approx(50.0)
-
-    def test_latency_requires_completion(self):
-        request = MemoryRequest(core=0, bank=0, row=0, column=0)
-        with pytest.raises(ValueError):
-            _ = request.latency_ns
-
-    def test_slotted_record(self):
-        # One record per simulated request: no per-instance __dict__.
-        request = MemoryRequest(0, 1, 2, 3, True, 5.0, 1)
-        assert not hasattr(request, "__dict__")
-        assert (request.bank, request.row, request.column) == (1, 2, 3)
-        assert request.is_write and request.chain == 1
-        with pytest.raises(AttributeError):
-            request.priority = 1
 
 
 class TestEngineBasics:
