@@ -12,13 +12,19 @@ key on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.sim.engine import TraceStep
 
 _BATCH = 4096
+
+#: ``TraceStep`` from one tuple of its fields.  A NamedTuple's own
+#: ``__new__`` is a Python function; ``tuple.__new__`` builds the same
+#: record without a Python-level call, once per simulated request.
+_make_step = partial(tuple.__new__, TraceStep)
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,8 @@ class SyntheticTrace:
         ].tolist()
         self._chain_state: Dict[int, Tuple[int, int, int]] = {}
         self._row_batch = np.empty(0, dtype=np.int64)
-        self._uniform_batch = np.empty(0)
+        self._row_local: List[bool] = []
+        self._is_write: List[bool] = []
         self._gap_batch = np.empty(0)
         # Exhausted: the first draw refills.
         self._batch_pos = _BATCH
@@ -91,29 +98,32 @@ class SyntheticTrace:
 
     def _refill(self) -> None:
         # Draw order is part of every golden: rows, then the
-        # (locality, bank, write) uniforms, then the gaps.
+        # (locality, bank, write) uniforms, then the gaps.  The two
+        # uniforms next_step tests are compared once per batch into
+        # bool lists (a list index is cheaper than ``ndarray.item``);
+        # the float batches stay arrays, read with ``ndarray.item``,
+        # since a whole-batch ``tolist()`` of them costs more memory
+        # than it saves time.
+        profile = self.profile
         self._row_batch = self._rng.choice(
             len(self._rows), size=_BATCH, p=self._probs
         )
-        self._uniform_batch = self._rng.random((_BATCH, 3))
+        uniform = self._rng.random((_BATCH, 3))
+        self._row_local = (uniform[:, 0] < profile.row_locality).tolist()
+        self._is_write = (uniform[:, 2] < profile.write_ratio).tolist()
         self._gap_batch = self._rng.exponential(
-            max(self.profile.gap_mean_ns, 1e-9), size=_BATCH
+            max(profile.gap_mean_ns, 1e-9), size=_BATCH
         )
         self._batch_pos = 0
 
     def next_step(self, chain: int) -> TraceStep:
-        # Batch values are read one at a time with ``ndarray.item``,
-        # which returns a Python scalar without building a numpy one;
-        # a whole-batch ``tolist()`` would cost more memory than it
-        # saves time.
         i = self._batch_pos
         if i >= _BATCH:
             self._refill()
             i = 0
         self._batch_pos = i + 1
-        uniform = self._uniform_batch
         state = self._chain_state.get(chain)
-        if state is not None and uniform.item(i, 0) < self.profile.row_locality:
+        if state is not None and self._row_local[i]:
             bank, row, column = state
             column = (column + 1) % self.columns_per_row
         else:
@@ -122,8 +132,6 @@ class SyntheticTrace:
             row = self._rows[row_index]
             column = 0
         self._chain_state[chain] = (bank, row, column)
-        return TraceStep(
-            bank, row, column,
-            uniform.item(i, 2) < self.profile.write_ratio,
-            self._gap_batch.item(i),
+        return _make_step(
+            (bank, row, column, self._is_write[i], self._gap_batch.item(i))
         )
