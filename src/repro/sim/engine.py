@@ -320,7 +320,7 @@ class MemorySystem:
             arrival is pushed: a plain tuple costs no Python-level
             constructor, and the FR-FCFS scan reads ``candidate[0]``.
             """
-            nonlocal total_completed, queued_total
+            nonlocal total_completed
             nonlocal row_hits, row_misses, activations
             bank = banks[bank_id]
             queue = bank.queue
@@ -343,7 +343,6 @@ class MemorySystem:
                             break
                 if request is None:
                     request = queue.popleft()
-                queued_total -= 1
                 if not queue:
                     has_queue[bank_id] = False
                 start = busy if busy > now else now
@@ -478,7 +477,6 @@ class MemorySystem:
         last_time = 0.0
         total_requests = config.requests_per_core * config.cores
         total_completed = 0
-        queued_total = 0
 
         while heap:
             time, _, kind, payload = heappop(heap)
@@ -487,7 +485,6 @@ class MemorySystem:
             if kind == _ARRIVAL:
                 bank_id = payload[6]
                 banks[bank_id].queue.append(payload)
-                queued_total += 1
                 has_queue[bank_id] = True
                 try_schedule(bank_id, time)
             elif kind == _BANK_FREE:
@@ -561,7 +558,9 @@ class MemorySystem:
                 defense.on_refresh_window(time)
                 if total_completed < total_requests:
                     heappush(heap, (time + epoch_ns, next_seq(), _EPOCH, None))
-            if total_completed >= total_requests and queued_total == 0:
+            # Every request has been issued, arrived and served, so no
+            # queue holds work.
+            if total_completed >= total_requests:
                 break
 
         cores = [
