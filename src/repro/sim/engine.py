@@ -572,9 +572,12 @@ class MemorySystem:
             )
             for core in range(config.cores)
         ]
+        # The run ends at its last event or its last completion,
+        # whichever is later: a request's completion is computed when
+        # it is scheduled and never becomes an event of its own.
         return SimulationResult(
             cores=cores,
-            total_ns=float(last_time),
+            total_ns=max(last_time, *finish_time),
             row_hits=row_hits,
             row_misses=row_misses,
             activations=activations,

@@ -404,7 +404,7 @@ class TestEngineEdgeCases:
         # Pinned counters: logging must never perturb the schedule.
         assert (result.row_hits, result.row_misses) == (0, 150)
         assert result.activations == 150
-        assert result.total_ns == pytest.approx(6795.25)
+        assert result.total_ns == pytest.approx(6854.75)
 
     def test_more_mlp_than_requests_is_conformant(self):
         config = small_config(mlp_per_core=8, requests_per_core=4)
@@ -429,6 +429,6 @@ class TestEngineEdgeCases:
         assert report.ok, report.render_text()
         assert result.refreshes_issued == 1
         assert result.activations == 250
-        assert result.total_ns == pytest.approx(10721.25)
+        assert result.total_ns == pytest.approx(10765.0)
         assert report.checks["tRFC"] > 0
         assert report.checks["tREFI"] > 0

@@ -131,6 +131,31 @@ class TestEngineBasics:
         b = MemorySystem(config, [make()]).run()
         assert a.finish_times() == b.finish_times()
 
+    @pytest.mark.parametrize("defense", [None, "PARA"])
+    def test_total_ns_covers_every_finish(self, defense):
+        # A request's completion is computed when it is scheduled and
+        # is never an event, so the last event can precede the last
+        # finish; total_ns must still cover every core's finish.
+        config = small_config(cores=2, requests_per_core=300)
+        traces = [
+            SyntheticTrace(
+                profile_by_name("ycsb"), total_banks=config.total_banks,
+                rows_per_bank=config.rows_per_bank, seed=seed,
+            )
+            for seed in range(config.cores)
+        ]
+        para = None
+        if defense is not None:
+            para = Para(64, rows_per_bank=config.rows_per_bank, seed=0)
+        result = MemorySystem(config, traces, defense=para).run()
+        assert result.total_ns >= max(result.finish_times())
+
+    def test_total_ns_of_one_request_is_its_finish(self):
+        config = small_config(requests_per_core=1, mlp_per_core=1)
+        trace = FixedTrace([TraceStep(bank=0, row=5, column=0, gap_ns=10.0)])
+        result = MemorySystem(config, [trace]).run()
+        assert result.total_ns == result.cores[0].finish_ns > 10.0
+
 
 class TestDefenseIntegration:
     def test_para_adds_overhead(self):
