@@ -212,3 +212,7 @@ class DefenseStats:
             elif isinstance(mitigation, CounterTraffic):
                 self.counter_reads += mitigation.reads
                 self.counter_writes += mitigation.writes
+            else:
+                raise TypeError(
+                    f"no counter for mitigation {type(mitigation).__name__}"
+                )

@@ -303,6 +303,13 @@ class MemorySystem:
                         [counter_access_ns]
                         * (mitigation.reads + mitigation.writes)
                     )
+                else:
+                    # An action the engine cannot cost must not be
+                    # simulated as free.
+                    raise TypeError(
+                        f"no DRAM cost for mitigation "
+                        f"{type(mitigation).__name__}"
+                    )
             return delay, preventive
 
         def try_schedule(bank_id: int, now: float) -> None:

@@ -9,7 +9,9 @@ from repro.defenses import DEFENSE_CLASSES, make_defense
 from repro.defenses.aqua import Aqua
 from repro.defenses.base import (
     CounterTraffic,
+    DefenseStats,
     GlobalThreshold,
+    Mitigation,
     RowMigration,
     RowSwap,
     SvardThresholds,
@@ -390,6 +392,29 @@ class TestSvardIntegration:
                 defense.on_activation(0, row, i * 50.0)
         # Row 0 has one victim; rows 700 and 701 have two each.
         assert counting.calls == 5
+
+
+class TestDefenseStats:
+    def test_counts_every_known_action(self):
+        stats = DefenseStats()
+        stats.record([
+            VictimRefresh(bank=0, rows=(1, 3)),
+            ThrottleDelay(delay_ns=5.0),
+            RowMigration(bank=0, src_row=1, dst_row=2),
+            RowSwap(bank=0, row_a=1, row_b=2),
+            CounterTraffic(bank=0, reads=2, writes=1),
+        ])
+        assert (stats.victim_refreshes, stats.throttle_events) == (2, 1)
+        assert stats.throttle_delay_ns == 5.0
+        assert (stats.migrations, stats.swaps) == (1, 1)
+        assert (stats.counter_reads, stats.counter_writes) == (2, 1)
+
+    def test_unknown_action_is_an_error(self):
+        class Unknown(Mitigation):
+            pass
+
+        with pytest.raises(TypeError, match="Unknown"):
+            DefenseStats().record([Unknown()])
 
 
 class CountingThresholds:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.defenses.base import GlobalThreshold
+from repro.defenses.base import GlobalThreshold, Mitigation
 from repro.defenses.para import Para
 from repro.defenses.rrs import RandomizedRowSwap
 from repro.sim.config import MitigationCosts, SystemConfig
@@ -180,6 +180,23 @@ class TestDefenseIntegration:
             defense = Para(hc, rows_per_bank=config.rows_per_bank, seed=0)
             times[hc] = MemorySystem(config, [make()], defense=defense).run().cores[0].finish_ns
         assert times[64] > times[256] > times[4096]
+
+    def test_unknown_mitigation_is_an_error(self):
+        # An action the engine cannot cost must not run as free.
+        class Unknown(Mitigation):
+            pass
+
+        class UnknownDefense:
+            def on_activation(self, bank, row, now_ns):
+                return [Unknown()]
+
+            def on_refresh_window(self, now_ns):
+                pass
+
+        trace = FixedTrace([TraceStep(bank=0, row=5, column=0, gap_ns=2.0)])
+        system = MemorySystem(small_config(), [trace], defense=UnknownDefense())
+        with pytest.raises(TypeError, match="Unknown"):
+            system.run()
 
     def test_rrs_swaps_expensive(self):
         config = small_config(requests_per_core=400)
