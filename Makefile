@@ -28,7 +28,10 @@
 #                       timings -> BENCH_kernels.json
 #   make bench-engine   simulator req/s at one fig12-grid cell size:
 #                       traces alone, bare engine, each defense with
-#                       and without Svärd -> BENCH_engine.json
+#                       and without Svärd -> BENCH_engine.json; fails,
+#                       leaving the file as it is, if any cell's finish
+#                       digest moved (delete the file first to record
+#                       an intentional behaviour change)
 #   make kernels-smoke  tiny platform characterization, kernel path
 #                       byte-diffed against the loop oracle
 #   make profile-smoke  tiny sweep -> `runner profile`: every per-task

@@ -14,9 +14,11 @@ system) several ways:
 Each figure is requests per second of the fastest of ``REPEATS``
 fresh runs (on a shared host, noise only ever adds time); the median
 run is recorded beside it.  Every simulated cell also records a digest of its
-per-core finish times, so two runs of this script (before and after a
-change) can be checked for bit-identical results as well as compared
-for speed.  Writes ``BENCH_engine.json`` at the repository root.
+per-core finish times.  Writes ``BENCH_engine.json`` at the repository
+root, but only if every cell's digest equals the one already recorded
+there: a cell that moved is named, the file is left untouched and the
+script exits 1.  After an intentional behaviour change, delete
+``BENCH_engine.json`` first.
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ def _row(requests: int, seconds: list, digest=None) -> dict:
     return row
 
 
+def moved_cells(recorded: dict, results: dict) -> list:
+    """Labels whose finish digest differs from the ``recorded`` document."""
+    return sorted(
+        label
+        for label, row in recorded["results"].items()
+        if "finish_digest" in row
+        and results.get(label, {}).get("finish_digest") != row["finish_digest"]
+    )
+
+
 def main() -> int:
     config = Fig12Experiment()._config(SCALE)
     mix = generate_mixes(SCALE.n_mixes, cores=config.cores, seed=SCALE.seed)[0]
@@ -152,6 +164,16 @@ def main() -> int:
         "results": results,
     }
     out_path = ROOT / "BENCH_engine.json"
+    if out_path.exists():
+        moved = moved_cells(json.loads(out_path.read_text()), results)
+        if moved:
+            print(
+                f"finish digests moved from {out_path.name}: "
+                f"{', '.join(moved)}; not written (delete the file to "
+                "record an intentional change)",
+                file=sys.stderr,
+            )
+            return 1
     out_path.write_text(
         json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     )
