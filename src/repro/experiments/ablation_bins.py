@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.svard import Svard
-from repro.defenses import make_defense
 from repro.defenses.base import SvardThresholds
 from repro.experiments.api import (
     Experiment,
@@ -29,7 +28,9 @@ from repro.experiments.api import (
 from repro.experiments.common import (
     ExperimentScale,
     mix_baseline_task,
+    performance_config,
     scaled_profile,
+    simulation_task,
 )
 from repro.orchestration import (
     OrchestrationContext,
@@ -38,9 +39,8 @@ from repro.orchestration import (
     make_task,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.sim.metrics import compute_metrics
-from repro.workloads.mixes import build_traces, generate_mixes
+from repro.workloads.mixes import generate_mixes
 
 BIN_SWEEP: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
@@ -115,20 +115,16 @@ def result_set(result: AblationBinsResult) -> ResultSet:
     )
 
 
-def _bins_task(task: Task) -> list:
-    """One defended simulation at a given Svärd bin count."""
-    mix, n_bins, defense, hc_first, profile_label, scale, config = task.params
-    profile = scaled_profile(profile_label, hc_first, scale)
-    svard = Svard.build(profile, n_bins=n_bins)
-    assert svard.verify_security_invariant()
-    defense_obj = make_defense(
-        defense, hc_first, config,
-        thresholds=SvardThresholds(svard), seed=scale.seed,
+def _bins_setup(task: Task) -> SvardThresholds:
+    """Setup hook: Svärd over the profile at the bin count that ends
+    the task key."""
+    _mix, _defense, configuration, hc_first, scale, _config = task.params
+    profile = scaled_profile(
+        configuration.removeprefix("Svärd-"), hc_first, scale
     )
-    result = MemorySystem(
-        config, build_traces(mix, config), defense=defense_obj
-    ).run()
-    return result.finish_times()
+    svard = Svard.build(profile, n_bins=task.key[-1])
+    assert svard.verify_security_invariant()
+    return SvardThresholds(svard)
 
 
 @register
@@ -153,9 +149,7 @@ class AblationBinsExperiment(Experiment):
         self.system_config = system_config
 
     def _config(self, scale: ExperimentScale) -> SystemConfig:
-        return self.system_config or scale.system_config(
-            requests_per_core=scale.requests_per_core, defense_epoch_ns=1e6
-        )
+        return performance_config(scale, self.system_config)
 
     @staticmethod
     def _mix(scale: ExperimentScale, config: SystemConfig):
@@ -178,12 +172,18 @@ class AblationBinsExperiment(Experiment):
                     "ablation-bins", "bins", self.defense, self.hc_first,
                     self.profile_label, n_bins,
                 ),
-                _bins_task,
+                simulation_task,
                 (
-                    mix, n_bins, self.defense, self.hc_first,
-                    self.profile_label, scale, config,
+                    mix, self.defense, f"Svärd-{self.profile_label}",
+                    self.hc_first, scale, config,
                 ),
                 base_seed=scale.seed,
+                setup=_bins_setup,
+                setup_key=(
+                    "ablation-bins", self.profile_label, self.hc_first,
+                    n_bins, scale.banks, scale.rows_for(self.profile_label),
+                    scale.seed,
+                ),
             )
             for n_bins in self.bin_sweep
         ]

@@ -16,25 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.defenses import make_defense
-from repro.experiments.api import Experiment, ResultSet, register
-from repro.experiments.common import (
-    NO_SVARD,
-    ExperimentScale,
-    svard_configurations,
-    svard_thresholds,
+from repro.experiments.api import ResultSet, register
+from repro.experiments.common import ExperimentScale
+from repro.experiments.fig13_adversarial import (
+    HC_FIRST,
+    SlowdownExperiment,
+    slowdown_result_set,
 )
-from repro.experiments.fig13_adversarial import HC_FIRST, slowdown_result_set
-from repro.orchestration import (
-    OrchestrationContext,
-    Task,
-    TaskGroup,
-    make_task,
-)
+from repro.orchestration import OrchestrationContext
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.workloads.adversarial import ManySidedHammerTrace
 
 #: The aggressor-count sweep: double-sided, the common many-sided
@@ -67,115 +57,49 @@ def result_set(result: ManySidedResult) -> ResultSet:
     )
 
 
-def _attack_traces(n_sides: int, config: SystemConfig) -> List:
-    # One aggressor set per core, in separate banks, phased within the
-    # rotation so simultaneous cores do not ride each other's row
-    # buffer; stride 2 is the generalized double-sided sandwich.
-    return [
-        ManySidedHammerTrace(
-            n_sides=n_sides,
-            base_row=(1000 + 4096 * core) % config.rows_per_bank,
-            bank=core % config.total_banks,
-            rows_per_bank=config.rows_per_bank,
-            start_offset=core * 3,
-        )
-        for core in range(config.cores)
-    ]
+@dataclass(frozen=True)
+class ManySidedPattern:
+    """Round-robin ``n_sides``-aggressor hammering, one set per core."""
 
+    n_sides: int
 
-def _baseline_task(task: Task) -> List[float]:
-    """No-defense finish times under one N-sided rotation."""
-    n_sides, config = task.params
-    return MemorySystem(
-        config, _attack_traces(n_sides, config)
-    ).run().finish_times()
+    def build_traces(self, config: SystemConfig) -> List:
+        # One aggressor set per core, in separate banks, phased within
+        # the rotation so simultaneous cores do not ride each other's
+        # row buffer; stride 2 is the generalized double-sided sandwich.
+        return [
+            ManySidedHammerTrace(
+                n_sides=self.n_sides,
+                base_row=(1000 + 4096 * core) % config.rows_per_bank,
+                bank=core % config.total_banks,
+                rows_per_bank=config.rows_per_bank,
+                start_offset=core * 3,
+            )
+            for core in range(config.cores)
+        ]
 
-
-def _attack_task(task: Task) -> List[float]:
-    """Finish times of one (defense, N, Svärd configuration) cell."""
-    defense_name, n_sides, configuration, scale, config = task.params
-    thresholds = svard_thresholds(configuration, HC_FIRST, scale)
-    defense = make_defense(
-        defense_name, HC_FIRST, config, thresholds=thresholds, seed=scale.seed
-    )
-    return MemorySystem(
-        config, _attack_traces(n_sides, config), defense=defense
-    ).run().finish_times()
+    def defense_knobs(self) -> Dict[str, int]:
+        return {}
 
 
 @register
-class ManySidedExperiment(Experiment):
+class ManySidedExperiment(SlowdownExperiment):
     name = "attack-manysided"
     description = "Many-sided (N-aggressor) hammering vs PARA/BlockHammer"
     paper_ref = "Sec. 7.3 (extended)"
 
     DEFENSE_NAMES = ("PARA", "BlockHammer")
+    MIN_REQUESTS_PER_CORE = 6_000
+    result_type = ManySidedResult
 
     quick_overrides = {"requests_per_core": 3000}
 
-    def __init__(self, system_config: Optional[SystemConfig] = None) -> None:
-        self.system_config = system_config
-
-    def _config(self, scale: ExperimentScale) -> SystemConfig:
-        return self.system_config or scale.system_config(
-            requests_per_core=max(scale.requests_per_core, 6_000),
-            defense_epoch_ns=1_000_000.0,
-        )
-
-    def build_tasks(self, scale, orch):
-        config = self._config(scale)
-        tasks = [
-            make_task(
-                ("attack-manysided", "baseline", n_sides),
-                _baseline_task,
-                (n_sides, config),
-                base_seed=scale.seed,
-            )
-            for n_sides in N_SIDES_SWEEP
-        ]
-        tasks += [
-            make_task(
-                ("attack-manysided", "attack", defense_name, n_sides,
-                 configuration),
-                _attack_task,
-                (defense_name, n_sides, configuration, scale, config),
-                base_seed=scale.seed,
-            )
+    def cells(self):
+        return [
+            ((defense_name, n_sides), ManySidedPattern(n_sides))
             for defense_name in self.DEFENSE_NAMES
             for n_sides in N_SIDES_SWEEP
-            for configuration in svard_configurations(scale)
         ]
-        return [TaskGroup(
-            tasks=tuple(tasks),
-            fingerprint=("attack-manysided", scale, config),
-        )]
-
-    def reduce(self, scale, outputs):
-        configurations = svard_configurations(scale)
-        raw: Dict[Tuple[str, int, str], float] = {}
-        normalized: Dict[Tuple[str, int, str], float] = {}
-        for defense_name in self.DEFENSE_NAMES:
-            for n_sides in N_SIDES_SWEEP:
-                base_times = np.array(
-                    outputs[("attack-manysided", "baseline", n_sides)]
-                )
-                for configuration in configurations:
-                    times = outputs[(
-                        "attack-manysided", "attack", defense_name, n_sides,
-                        configuration,
-                    )]
-                    raw[(defense_name, n_sides, configuration)] = float(
-                        np.mean(np.array(times) / base_times)
-                    )
-                reference = raw[(defense_name, n_sides, NO_SVARD)]
-                for configuration in configurations:
-                    normalized[(defense_name, n_sides, configuration)] = (
-                        raw[(defense_name, n_sides, configuration)]
-                        / reference
-                    )
-        return ManySidedResult(
-            normalized_slowdown=normalized, raw_slowdown=raw
-        )
 
     def result_set(self, result):
         return result_set(result)

@@ -14,7 +14,8 @@ from repro.characterization.runner import (
 )
 from repro.core.profile import VulnerabilityProfile
 from repro.core.svard import Svard
-from repro.defenses.base import SvardThresholds
+from repro.defenses import make_defense
+from repro.defenses.base import SvardThresholds, ThresholdProvider
 from repro.dram.geometry import REPRESENTATIVE_BANKS
 from repro.dram.timing import device_for
 from repro.faults.modules import MODULES, ModuleSpec, module_by_label
@@ -29,6 +30,7 @@ from repro.orchestration import (
 from repro.sim.config import SystemConfig
 from repro.sim.engine import MemorySystem
 from repro.workloads.mixes import (
+    WorkloadMix,
     build_alone_trace,
     build_traces,
     single_core_config,
@@ -39,6 +41,11 @@ ALL_MODULE_LABELS: Tuple[str, ...] = tuple(sorted(MODULES))
 
 #: The baseline configuration name shared by the Svärd evaluations.
 NO_SVARD = "No Svärd"
+
+#: Compressed defense epoch of the simulated slice (see
+#: EXPERIMENTS.md, "time compression"): every performance experiment
+#: and ``runner check-timing`` resets its defense on it.
+DEFENSE_EPOCH_NS = 1_000_000.0
 
 
 def svard_configurations(scale: "ExperimentScale") -> Tuple[str, ...]:
@@ -305,6 +312,96 @@ def svard_thresholds(
         configuration.removeprefix("Svärd-"), hc_first, scale
     )
     return SvardThresholds(Svard.build(profile))
+
+
+def performance_config(
+    scale: ExperimentScale,
+    system_config: Optional[SystemConfig] = None,
+    *,
+    min_requests_per_core: int = 0,
+) -> SystemConfig:
+    """The :class:`SystemConfig` a performance experiment simulates.
+
+    An explicit ``system_config`` wins.  Otherwise: the scale's device
+    timing and ``requests_per_core`` (raised to
+    ``min_requests_per_core``, for attacks that need a longer slice)
+    under the compressed defense epoch.
+    """
+    return system_config or scale.system_config(
+        requests_per_core=max(scale.requests_per_core, min_requests_per_core),
+        defense_epoch_ns=DEFENSE_EPOCH_NS,
+    )
+
+
+def simulation_task(
+    task: Task, thresholds: Optional[ThresholdProvider] = None
+) -> List[float]:
+    """The one simulation of a performance cell: per-core finish times.
+
+    ``task.params`` is ``(workload, defense_name, configuration,
+    hc_first, scale, config)``.  ``workload`` is a
+    :class:`WorkloadMix` or an attack pattern, which provides
+    ``build_traces(config)`` and ``defense_knobs()`` (extra
+    :func:`make_defense` arguments the attack is sized against).
+    ``defense_name=None`` is the no-defense baseline.  ``thresholds``
+    comes from the task's setup hook for Svärd configurations and stays
+    ``None`` for No Svärd (the defense's worst-case threshold).
+
+    Normalization happens in the parent, so this task depends on
+    nothing but its own parameters: every configuration of a workload
+    replays the same traces, seeded from the experiment scale.
+    """
+    workload, defense_name, _configuration, hc_first, scale, config = task.params
+    if isinstance(workload, WorkloadMix):
+        traces, knobs = build_traces(workload, config), {}
+    else:
+        traces, knobs = workload.build_traces(config), workload.defense_knobs()
+    defense = None
+    if defense_name is not None:
+        defense = make_defense(
+            defense_name, hc_first, config,
+            thresholds=thresholds, seed=scale.seed, **knobs,
+        )
+    return MemorySystem(config, traces, defense=defense).run().finish_times()
+
+
+def _provider_setup(task: Task) -> ThresholdProvider:
+    """Setup hook: the Svärd threshold provider a task needs.
+
+    Building one walks the full vulnerability profile, and every
+    defense at the same (profile, HC_first) shares it -- declared as
+    the task's *setup context* so the execution layers build it once
+    per ``setup_key`` per worker process and reuse it across a chunk
+    (see ``SetupCache``).  Providers are pure functions of their key,
+    so memoization never changes results.
+    """
+    _workload, _defense, configuration, hc_first, scale, _config = task.params
+    return svard_thresholds(configuration, hc_first, scale)
+
+
+def make_simulation_task(
+    key: tuple,
+    workload,
+    defense_name: Optional[str],
+    configuration: str,
+    hc_first: int,
+    scale: ExperimentScale,
+    config: SystemConfig,
+) -> Task:
+    """A :func:`simulation_task`, with Svärd built by the setup hook."""
+    setup = setup_key = None
+    if configuration != NO_SVARD:
+        profile_label = configuration.removeprefix("Svärd-")
+        setup = _provider_setup
+        setup_key = (
+            "svard-provider", profile_label, hc_first,
+            scale.banks, scale.rows_for(profile_label), scale.seed,
+        )
+    return make_task(
+        key, simulation_task,
+        (workload, defense_name, configuration, hc_first, scale, config),
+        base_seed=scale.seed, setup=setup, setup_key=setup_key,
+    )
 
 
 def mix_baseline_task(task: Task) -> Dict[str, list]:

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.defenses import DEFENSE_CLASSES, make_defense
-from repro.defenses.base import ThresholdProvider
+from repro.defenses import DEFENSE_CLASSES
 from repro.experiments.api import (
     Experiment,
     ExperimentError,
@@ -28,26 +27,18 @@ from repro.experiments.api import (
     register,
 )
 from repro.experiments.common import (
+    DEFENSE_EPOCH_NS,  # noqa: F401 -- re-exported; perfbench imports it
     NO_SVARD,
     ExperimentScale,
+    make_simulation_task,
     mix_baseline_task,
+    performance_config,
     svard_configurations,
-    svard_thresholds,
 )
-from repro.orchestration import (
-    OrchestrationContext,
-    Task,
-    TaskGroup,
-    make_task,
-)
+from repro.orchestration import OrchestrationContext, TaskGroup, make_task
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.sim.metrics import MultiProgramMetrics, compute_metrics
-from repro.workloads.mixes import WorkloadMix, build_traces, generate_mixes
-
-#: Compressed defense-epoch used by the simulated slice (see
-#: EXPERIMENTS.md, "time compression").
-DEFENSE_EPOCH_NS = 1_000_000.0
+from repro.workloads.mixes import WorkloadMix, generate_mixes
 
 TITLE = "Fig 12: Svärd performance evaluation"
 
@@ -162,52 +153,6 @@ def _mean_metrics(values: Sequence[MultiProgramMetrics]) -> MultiProgramMetrics:
     )
 
 
-def _provider_setup(task: Task) -> ThresholdProvider:
-    """Setup hook: the Svärd threshold provider this task needs.
-
-    Building one walks the full vulnerability profile, and every
-    defense at the same (profile, HC_first) shares it -- declared as
-    the task's *setup context* so the execution layers build it once
-    per ``setup_key`` per worker process and reuse it across a chunk
-    (see ``SetupCache``).  Providers are pure functions of their key,
-    so memoization never changes results.
-    """
-    _mix, _defense, configuration, hc, scale, _config = task.params
-    return svard_thresholds(configuration, hc, scale)
-
-
-def _provider_setup_key(
-    configuration: str, hc_first: int, scale: ExperimentScale
-) -> tuple:
-    profile_label = configuration.removeprefix("Svärd-")
-    return (
-        "fig12-provider", profile_label, hc_first,
-        scale.banks, scale.rows_for(profile_label), scale.seed,
-    )
-
-
-def _simulation_task(
-    task: Task, thresholds: Optional[ThresholdProvider] = None
-) -> List[float]:
-    """One defended simulation; returns raw per-core finish times.
-
-    Normalization happens in the parent so that this task depends on
-    nothing but its own parameters (all configurations of a mix
-    replay the same traces, seeded from the experiment scale).
-    ``thresholds`` arrives from the setup hook for Svärd
-    configurations and stays ``None`` for the No-Svärd rows (which
-    declare no setup).
-    """
-    mix, defense_name, _configuration, hc, scale, config = task.params
-    defense = make_defense(
-        defense_name, hc, config, thresholds=thresholds, seed=scale.seed
-    )
-    result = MemorySystem(
-        config, build_traces(mix, config), defense=defense
-    ).run()
-    return result.finish_times()
-
-
 @register
 class Fig12Experiment(Experiment):
     name = "fig12"
@@ -238,10 +183,7 @@ class Fig12Experiment(Experiment):
         return sorted(self.defenses)
 
     def _config(self, scale: ExperimentScale) -> SystemConfig:
-        return self.system_config or scale.system_config(
-            requests_per_core=scale.requests_per_core,
-            defense_epoch_ns=DEFENSE_EPOCH_NS,
-        )
+        return performance_config(scale, self.system_config)
 
     @staticmethod
     def _mixes(scale: ExperimentScale, config: SystemConfig) -> List[WorkloadMix]:
@@ -267,18 +209,9 @@ class Fig12Experiment(Experiment):
             for mix in mixes
         ]
         tasks += [
-            make_task(
+            make_simulation_task(
                 ("fig12", "sim", defense_name, configuration, hc, mix.name),
-                _simulation_task,
-                (mix, defense_name, configuration, hc, scale, config),
-                base_seed=scale.seed,
-                setup=(
-                    _provider_setup if configuration != NO_SVARD else None
-                ),
-                setup_key=(
-                    _provider_setup_key(configuration, hc, scale)
-                    if configuration != NO_SVARD else None
-                ),
+                mix, defense_name, configuration, hc, scale, config,
             )
             for defense_name in self._defense_names()
             for configuration in svard_configurations(scale)

@@ -9,12 +9,12 @@ Mfr. S profile (Obsv 17).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from abc import abstractmethod
+from dataclasses import astuple, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.defenses import make_defense
 from repro.experiments.api import (
     Experiment,
     PlotSpec,
@@ -27,17 +27,12 @@ from repro.experiments.api import (
 from repro.experiments.common import (
     NO_SVARD,
     ExperimentScale,
+    make_simulation_task,
+    performance_config,
     svard_configurations,
-    svard_thresholds,
 )
-from repro.orchestration import (
-    OrchestrationContext,
-    Task,
-    TaskGroup,
-    make_task,
-)
+from repro.orchestration import OrchestrationContext, TaskGroup
 from repro.sim.config import SystemConfig
-from repro.sim.engine import MemorySystem
 from repro.workloads.adversarial import HydraAdversarialTrace, RrsAdversarialTrace
 
 HC_FIRST = 64
@@ -122,117 +117,139 @@ def result_set(result: Fig13Result) -> ResultSet:
     )
 
 
+class SlowdownExperiment(Experiment):
+    """Slowdown of defended runs under attack patterns, at HC_FIRST.
+
+    Shared by fig13 and attack-manysided.  A subclass lists its
+    ``cells``: a cell is ``(defense, *sweep point)`` plus the attack
+    pattern it runs.  Each pattern runs once without a defense (a
+    pattern's fields name its baseline task), each cell once per Svärd
+    configuration; the mean ratio of finish times to the baseline is
+    the raw slowdown, then normalized to the cell's No Svärd run.
+    """
+
+    #: Floor on requests per core: the attack needs a slice long
+    #: enough for its rows to reach the defense's thresholds.
+    MIN_REQUESTS_PER_CORE = 0
+    #: The rich result type, built from ``normalized_slowdown`` and
+    #: ``raw_slowdown``.
+    result_type: type
+
+    def __init__(self, system_config: Optional[SystemConfig] = None) -> None:
+        self.system_config = system_config
+
+    @abstractmethod
+    def cells(self) -> Sequence[Tuple[tuple, object]]:
+        """``(cell, pattern)`` pairs, in task order."""
+
+    def _config(self, scale: ExperimentScale) -> SystemConfig:
+        return performance_config(
+            scale, self.system_config,
+            min_requests_per_core=self.MIN_REQUESTS_PER_CORE,
+        )
+
+    def build_tasks(self, scale, orch):
+        config = self._config(scale)
+        cells = self.cells()
+        patterns = dict.fromkeys(pattern for _, pattern in cells)
+        tasks = [
+            make_simulation_task(
+                (self.name, "baseline", *astuple(pattern)),
+                pattern, None, NO_SVARD, HC_FIRST, scale, config,
+            )
+            for pattern in patterns
+        ]
+        tasks += [
+            make_simulation_task(
+                (self.name, "attack", *cell, configuration),
+                pattern, cell[0], configuration, HC_FIRST, scale, config,
+            )
+            for cell, pattern in cells
+            for configuration in svard_configurations(scale)
+        ]
+        return [TaskGroup(
+            tasks=tuple(tasks), fingerprint=(self.name, scale, config),
+        )]
+
+    def reduce(self, scale, outputs):
+        configurations = svard_configurations(scale)
+        raw: Dict[tuple, float] = {}
+        normalized: Dict[tuple, float] = {}
+        for cell, pattern in self.cells():
+            base_times = np.array(
+                outputs[(self.name, "baseline", *astuple(pattern))]
+            )
+            for configuration in configurations:
+                times = outputs[(self.name, "attack", *cell, configuration)]
+                raw[(*cell, configuration)] = float(
+                    np.mean(np.array(times) / base_times)
+                )
+            reference = raw[(*cell, NO_SVARD)]
+            for configuration in configurations:
+                normalized[(*cell, configuration)] = (
+                    raw[(*cell, configuration)] / reference
+                )
+        return self.result_type(normalized_slowdown=normalized, raw_slowdown=raw)
+
+
 #: Scaled-down row-count-cache capacity for the adversarial study:
 #: the trace's working set must exceed it (see EXPERIMENTS.md).
 HYDRA_RCC_ENTRIES = 512
 
 
-def _adversarial_traces(defense_name: str, config: SystemConfig) -> List:
-    if defense_name == "Hydra":
-        # The attacker revisits each row often enough that its group
-        # escalates to exact tracking even under Svärd's relaxed
-        # thresholds -- Hydra's counter traffic is then threshold-
-        # independent, which is the attack's point.
+@dataclass(frozen=True)
+class AdversarialPattern:
+    """Fig 13's attack on one defense: Hydra's counter-cache thrash or
+    RRS's single-row hammer, one trace per core."""
+
+    defense: str
+
+    def build_traces(self, config: SystemConfig) -> List:
+        if self.defense == "Hydra":
+            # The attacker revisits each row often enough that its
+            # group escalates to exact tracking even under Svärd's
+            # relaxed thresholds -- Hydra's counter traffic is then
+            # threshold-independent, which is the attack's point.
+            return [
+                HydraAdversarialTrace(
+                    n_rows=640,
+                    bank_stride=config.total_banks,
+                    rows_per_bank=config.rows_per_bank,
+                    start_offset=core * 80,
+                )
+                for core in range(config.cores)
+            ]
         return [
-            HydraAdversarialTrace(
-                n_rows=640,
-                bank_stride=config.total_banks,
-                rows_per_bank=config.rows_per_bank,
-                start_offset=core * 80,
+            RrsAdversarialTrace(
+                target_row=997 * (core + 1) % config.rows_per_bank,
+                scratch_row=(997 * (core + 1) + 64) % config.rows_per_bank,
+                bank=core % config.total_banks,
             )
             for core in range(config.cores)
         ]
-    return [
-        RrsAdversarialTrace(
-            target_row=997 * (core + 1) % config.rows_per_bank,
-            scratch_row=(997 * (core + 1) + 64) % config.rows_per_bank,
-            bank=core % config.total_banks,
-        )
-        for core in range(config.cores)
-    ]
 
-
-def _baseline_task(task: Task) -> List[float]:
-    """No-defense finish times under one adversarial pattern."""
-    defense_name, config = task.params
-    return MemorySystem(
-        config, _adversarial_traces(defense_name, config)
-    ).run().finish_times()
-
-
-def _attack_task(task: Task) -> List[float]:
-    """Finish times of one (defense, Svärd configuration) under attack."""
-    defense_name, configuration, scale, config = task.params
-    thresholds = svard_thresholds(configuration, HC_FIRST, scale)
-    extra = (
-        {"rcc_entries": HYDRA_RCC_ENTRIES} if defense_name == "Hydra" else {}
-    )
-    defense = make_defense(
-        defense_name, HC_FIRST, config,
-        thresholds=thresholds, seed=scale.seed, **extra,
-    )
-    return MemorySystem(
-        config, _adversarial_traces(defense_name, config), defense=defense
-    ).run().finish_times()
+    def defense_knobs(self) -> Dict[str, int]:
+        # The thrash is sized against a row-count cache this small.
+        if self.defense == "Hydra":
+            return {"rcc_entries": HYDRA_RCC_ENTRIES}
+        return {}
 
 
 @register
-class Fig13Experiment(Experiment):
+class Fig13Experiment(SlowdownExperiment):
     name = "fig13"
     description = "Hydra and RRS under adversarial access patterns"
     paper_ref = "Fig. 13"
 
     DEFENSE_NAMES = ("Hydra", "RRS")
+    MIN_REQUESTS_PER_CORE = 12_000
+    result_type = Fig13Result
 
-    def __init__(self, system_config: Optional[SystemConfig] = None) -> None:
-        self.system_config = system_config
-
-    def _config(self, scale: ExperimentScale) -> SystemConfig:
-        return self.system_config or scale.system_config(
-            requests_per_core=max(scale.requests_per_core, 12_000),
-            defense_epoch_ns=1_000_000.0,
-        )
-
-    def build_tasks(self, scale, orch):
-        config = self._config(scale)
-        tasks = [
-            make_task(
-                ("fig13", "baseline", defense_name),
-                _baseline_task,
-                (defense_name, config),
-                base_seed=scale.seed,
-            )
+    def cells(self):
+        return [
+            ((defense_name,), AdversarialPattern(defense_name))
             for defense_name in self.DEFENSE_NAMES
         ]
-        tasks += [
-            make_task(
-                ("fig13", "attack", defense_name, configuration),
-                _attack_task,
-                (defense_name, configuration, scale, config),
-                base_seed=scale.seed,
-            )
-            for defense_name in self.DEFENSE_NAMES
-            for configuration in svard_configurations(scale)
-        ]
-        return [TaskGroup(tasks=tuple(tasks), fingerprint=("fig13", scale, config))]
-
-    def reduce(self, scale, outputs):
-        configurations = svard_configurations(scale)
-        raw: Dict[Tuple[str, str], float] = {}
-        normalized: Dict[Tuple[str, str], float] = {}
-        for defense_name in self.DEFENSE_NAMES:
-            base_times = np.array(outputs[("fig13", "baseline", defense_name)])
-            for configuration in configurations:
-                times = outputs[("fig13", "attack", defense_name, configuration)]
-                raw[(defense_name, configuration)] = float(
-                    np.mean(np.array(times) / base_times)
-                )
-            reference = raw[(defense_name, NO_SVARD)]
-            for configuration in configurations:
-                normalized[(defense_name, configuration)] = (
-                    raw[(defense_name, configuration)] / reference
-                )
-        return Fig13Result(normalized_slowdown=normalized, raw_slowdown=raw)
 
     def result_set(self, result):
         return result_set(result)

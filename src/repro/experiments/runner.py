@@ -50,7 +50,7 @@ from typing import List, Optional
 
 from repro.experiments.api import all_experiments, display_table
 from repro.dram.timing import device_for
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import DEFENSE_EPOCH_NS, ExperimentScale
 from repro.experiments.recipes import (
     Recipe,
     RecipeError,
@@ -1075,7 +1075,7 @@ def _cmd_check_timing(argv) -> int:
         rows_per_bank=args.rows_per_bank,
         requests_per_core=args.requests_per_core,
         timing=timing,
-        defense_epoch_ns=1_000_000.0 if defense_name else None,
+        defense_epoch_ns=DEFENSE_EPOCH_NS if defense_name else None,
     )
     if args.trace is not None:
         try:
@@ -1112,7 +1112,7 @@ def _cmd_check_timing(argv) -> int:
             defense_name, args.hc_first, config, seed=args.seed
         )
 
-    system = MemorySystem(config, traces, defense=defense, seed=args.seed)
+    system = MemorySystem(config, traces, defense=defense)
     try:
         result, report = check_run(system)
     except TraceParseError as error:

@@ -456,7 +456,7 @@ class TestMakeDefense:
     ):
         """Every attack-manysided BlockHammer cell runs under the same
         1 ms epoch the engine resets defenses on."""
-        from repro.experiments import attack_manysided
+        from repro.experiments import attack_manysided, common
         from repro.experiments.common import NO_SVARD, ExperimentScale
 
         simulated = []
@@ -471,7 +471,7 @@ class TestMakeDefense:
             def finish_times(self):
                 return [1.0]
 
-        monkeypatch.setattr(attack_manysided, "MemorySystem", Recorder)
+        monkeypatch.setattr(common, "MemorySystem", Recorder)
         [group] = attack_manysided.ManySidedExperiment().build_tasks(
             ExperimentScale(), None
         )
@@ -483,3 +483,34 @@ class TestMakeDefense:
         for config, defense in simulated:
             assert isinstance(defense, BlockHammer)
             assert defense.epoch_ns == config.defense_epoch_ns == 1_000_000.0
+
+    def test_fig13_hydra_cells_use_the_scaled_down_rcc(self, monkeypatch):
+        """fig13's Hydra cells, and only they, get the small row-count
+        cache the counter-cache thrash is sized against."""
+        from repro.experiments import common, fig13_adversarial
+        from repro.experiments.common import NO_SVARD, ExperimentScale
+
+        simulated = []
+
+        class Recorder:
+            def __init__(self, config, traces, defense=None, **kwargs):
+                simulated.append(defense)
+
+            def run(self):
+                return self
+
+            def finish_times(self):
+                return [1.0]
+
+        monkeypatch.setattr(common, "MemorySystem", Recorder)
+        [group] = fig13_adversarial.Fig13Experiment().build_tasks(
+            ExperimentScale(), None
+        )
+        for task in group.tasks:
+            if task.key[1] == "baseline" or task.key[3] == NO_SVARD:
+                task.execute()
+        baselines, hydra, rrs = simulated[:2], simulated[2], simulated[3]
+        assert baselines == [None, None]
+        assert isinstance(hydra, Hydra)
+        assert hydra.rcc_entries == fig13_adversarial.HYDRA_RCC_ENTRIES
+        assert not isinstance(rrs, Hydra)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    common,
     fig3_ber_distribution,
     fig4_ber_location,
     fig5_hcfirst_distribution,
@@ -23,6 +24,7 @@ from repro.experiments import (
     table3_features,
     table5_modules,
 )
+from repro.experiments.api import get_experiment
 from repro.experiments.common import ExperimentScale
 from repro.faults.modules import FEATURE_CORRELATED_MODULES
 
@@ -235,6 +237,40 @@ class TestFig13:
 
     def test_render(self, result):
         assert "Fig 13" in result.render()
+
+
+class TestOneSimulationTask:
+    """Every performance cell runs through ``common``'s task functions,
+    so a change to what a cell records is a one-function edit."""
+
+    SCALE = ExperimentScale(
+        rows_per_bank=256, banks=(1,), n_mixes=1, requests_per_core=60,
+        hc_first_values=(64,), svard_profiles=("S0",),
+    )
+
+    @pytest.mark.parametrize(
+        "name", ["fig12", "fig13", "attack-manysided", "ablation-bins"]
+    )
+    def test_every_task_is_a_common_task(self, name):
+        experiment = get_experiment(name)
+        tasks = [
+            task
+            for group in experiment.build_tasks(self.SCALE, None)
+            for task in group.tasks
+        ]
+        assert tasks
+        for task in tasks:
+            assert task.fn in (
+                common.simulation_task, common.mix_baseline_task
+            ), task.key
+            if task.fn is common.simulation_task:
+                assert len(task.params) == 6, task.key
+                # Svärd arrives through the setup hook, never built
+                # inside the task.
+                configuration = task.params[2]
+                assert (task.setup is None) == (
+                    configuration == common.NO_SVARD
+                ), task.key
 
 
 class TestTables:
