@@ -9,6 +9,8 @@ Two halves, both cheap enough for every ``make test``:
 2. the same checker is handed a deliberately broken rulebook (inflated
    tRCD/tRAS/tRRD_S) and must flag a legal stream -- proving the smoke
    would actually fail if the engine or the checker went quiet.
+
+``build_system`` is shared with ``generations_smoke.py``.
 """
 
 from __future__ import annotations
@@ -28,17 +30,20 @@ from repro.sim.engine import MemorySystem  # noqa: E402
 from repro.workloads.suites import profile_by_name  # noqa: E402
 from repro.workloads.synthetic import SyntheticTrace  # noqa: E402
 
+#: (device, suite, defense) cells.
 SWEEP = [
-    ("ycsb", None, 3200),
-    ("ycsb", "PARA", 3200),
-    ("spec17", None, 2666),
-    ("spec17", "BlockHammer", 2666),
-    ("tpc", "PARA", 2666),
-    ("mediabench", None, 3200),
+    ("DDR4-3200", "ycsb", None),
+    ("DDR4-3200", "ycsb", "PARA"),
+    ("DDR4-2666", "spec17", None),
+    ("DDR4-2666", "spec17", "BlockHammer"),
+    ("DDR4-2666", "tpc", "PARA"),
+    ("DDR4-3200", "mediabench", None),
 ]
 
 
-def build_system(suite: str, defense_name, speed: int) -> MemorySystem:
+def build_system(device: str, suite: str, defense_name) -> MemorySystem:
+    """A 2-core, 4-bank system on ``device`` running ``suite``, undefended
+    or under ``defense_name`` at HC_first 512."""
     config = SystemConfig(
         cores=2,
         ranks=1,
@@ -47,7 +52,7 @@ def build_system(suite: str, defense_name, speed: int) -> MemorySystem:
         rows_per_bank=4096,
         requests_per_core=400,
         mlp_per_core=2,
-        timing=device_for(speed),
+        timing=device_for(device),
         defense_epoch_ns=100_000.0 if defense_name else None,
     )
     profile = profile_by_name(suite)
@@ -64,16 +69,16 @@ def build_system(suite: str, defense_name, speed: int) -> MemorySystem:
     defense = None
     if defense_name is not None:
         defense = make_defense(defense_name, 512, config)
-    return MemorySystem(config, traces, defense=defense, seed=0)
+    return MemorySystem(config, traces, defense=defense)
 
 
 def main() -> int:
     print("conformance-smoke: replaying logged command streams")
     total_commands = 0
-    for suite, defense_name, speed in SWEEP:
-        system = build_system(suite, defense_name, speed)
+    for device, suite, defense_name in SWEEP:
+        system = build_system(device, suite, defense_name)
         result, report = check_run(system)
-        label = f"{suite}/{defense_name or 'none'}/DDR4-{speed}"
+        label = f"{suite}/{defense_name or 'none'}/{device}"
         if not report.ok:
             print(f"  FAIL {label}:")
             print(report.render_text())
@@ -87,10 +92,10 @@ def main() -> int:
 
     # Negative control: a rulebook with inflated minimums must reject
     # the same (legal) stream, or the positive half proves nothing.
-    system = build_system("ycsb", "PARA", 3200)
+    system = build_system("DDR4-3200", "ycsb", "PARA")
     log = []
     system.run(command_log=log)
-    timing = device_for(3200)
+    timing = system.config.timing
     broken = dataclasses.replace(
         timing,
         tRCD=4 * timing.tRCD,

@@ -24,13 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.defenses import make_defense  # noqa: E402
-from repro.dram.timing import device_for  # noqa: E402
-from repro.sim.config import SystemConfig  # noqa: E402
+from conformance_smoke import build_system  # noqa: E402
 from repro.sim.conformance import check_run  # noqa: E402
-from repro.sim.engine import MemorySystem  # noqa: E402
-from repro.workloads.suites import profile_by_name  # noqa: E402
-from repro.workloads.synthetic import SyntheticTrace  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden" / "check_timing_ddr4.json"
 
@@ -53,36 +48,6 @@ REFRESH_RULE = {
     "LPDDR4": "tRFCpb",
     "DDR5": "tRFCsb",
 }
-
-
-def build_system(device: str, suite: str, defense_name) -> MemorySystem:
-    timing = device_for(device)
-    config = SystemConfig(
-        cores=2,
-        ranks=1,
-        bank_groups=2,
-        banks_per_group=2,
-        rows_per_bank=4096,
-        requests_per_core=400,
-        mlp_per_core=2,
-        timing=timing,
-        defense_epoch_ns=100_000.0 if defense_name else None,
-    )
-    profile = profile_by_name(suite)
-    traces = [
-        SyntheticTrace(
-            profile,
-            total_banks=config.total_banks,
-            rows_per_bank=config.rows_per_bank,
-            columns_per_row=config.columns_per_row,
-            seed=17 + core,
-        )
-        for core in range(config.cores)
-    ]
-    defense = None
-    if defense_name is not None:
-        defense = make_defense(defense_name, 512, config)
-    return MemorySystem(config, traces, defense=defense, seed=0)
 
 
 def main() -> int:
