@@ -40,7 +40,7 @@ from repro.dram.commands import (
     rd as _rd,
     wr as _wr,
 )
-from repro.dram.timing import REFRESH_PER_BANK
+from repro.dram.timing import REFRESH_ALL_BANK, REFRESH_PER_BANK
 from repro.sim.config import MitigationCosts, SystemConfig
 
 _INF = float("inf")
@@ -134,7 +134,6 @@ class MemorySystem:
         traces: Sequence[Trace],
         *,
         defense: Optional[Defense] = None,
-        seed: int = 0,
     ) -> None:
         if len(traces) != config.cores:
             raise ValueError(
@@ -147,7 +146,6 @@ class MemorySystem:
         self.costs = MitigationCosts(
             timing=config.timing, columns_per_row=config.columns_per_row
         )
-        self.seed = seed
 
     # ------------------------------------------------------------------
 
@@ -209,41 +207,37 @@ class MemorySystem:
                     column % columns_per_row, is_write, bank % n_banks,
                 )))
 
-        # Periodic refresh and defense epochs.  All-bank generations
-        # (DDR4) issue one REF per tREFI; sliced generations rotate --
-        # LPDDR4 REFpb over the rank's banks, DDR5 REFsb over the bank
-        # index within each group -- spacing slices tREFI / slices
-        # apart so every bank still refreshes once per tREFI.  A
+        # Periodic refresh and defense epochs.  Refresh rotates over
+        # slices spaced tREFI / slices apart, so every bank still
+        # refreshes once per tREFI: DDR4's all-bank REF is one slice
+        # of every bank, LPDDR4's REFpb rotates over the rank's banks,
+        # DDR5's REFsb over the bank index within each group.  A
         # refresh event's payload is its slice index.
         refresh_slices = timing.refresh_slices(
             banks_per_rank=config.banks_per_rank,
             banks_per_group=config.banks_per_group,
         )
-        if refresh_slices == 1:
-            heappush(heap, (timing.tREFI, next_seq(), _REFRESH, 0))
+        refresh_interval = timing.tREFI / refresh_slices
+        refresh_latency = timing.refresh_latency_ns
+        if timing.refresh_granularity == REFRESH_ALL_BANK:
+            refresh_targets = [range(n_banks)]
+        elif timing.refresh_granularity == REFRESH_PER_BANK:
+            refresh_targets = [
+                [rank * config.banks_per_rank + k for rank in range(config.ranks)]
+                for k in range(refresh_slices)
+            ]
         else:
-            refresh_interval = timing.tREFI / refresh_slices
-            refresh_latency = timing.refresh_latency_ns
-            if timing.refresh_granularity == REFRESH_PER_BANK:
-                refresh_targets = [
-                    [
-                        rank * config.banks_per_rank + k
-                        for rank in range(config.ranks)
-                    ]
-                    for k in range(refresh_slices)
+            refresh_targets = [
+                [
+                    rank * config.banks_per_rank
+                    + group * config.banks_per_group
+                    + k
+                    for rank in range(config.ranks)
+                    for group in range(config.bank_groups)
                 ]
-            else:
-                refresh_targets = [
-                    [
-                        rank * config.banks_per_rank
-                        + group * config.banks_per_group
-                        + k
-                        for rank in range(config.ranks)
-                        for group in range(config.bank_groups)
-                    ]
-                    for k in range(refresh_slices)
-                ]
-            heappush(heap, (refresh_interval, next_seq(), _REFRESH, 0))
+                for k in range(refresh_slices)
+            ]
+        heappush(heap, (refresh_interval, next_seq(), _REFRESH, 0))
         epoch_ns = config.defense_epoch_ns or timing.tREFW
         if defense is not None:
             heappush(heap, (epoch_ns, next_seq(), _EPOCH, None))
@@ -261,7 +255,6 @@ class MemorySystem:
         tRAS = timing.tRAS
         tRP = timing.tRP
         tFAW = timing.tFAW
-        tRFC = timing.tRFC
         column_to_column = timing.column_to_column_ns
         # The scheduler does not track bank-group adjacency, so it
         # paces ACTs at the generation's rank-level minimum (tRRD_S
@@ -506,13 +499,17 @@ class MemorySystem:
                     next_bank = heappop(heap)[3]
                     wake_at[next_bank] = _INF
                     try_schedule(next_bank, time)
-            elif kind == _REFRESH and refresh_slices > 1:
-                # Sliced refresh (LPDDR4 per-bank / DDR5 same-bank):
-                # each REF locks only its slice's banks.
+            elif kind == _REFRESH:
+                # Each REF locks its slice's banks, charged per bank as
+                # the bank becomes free (busy banks finish their work
+                # first).  Banks are swept in ascending order, which is
+                # the order their wake-ups are pushed.
                 refreshes += 1
                 for bank_id in refresh_targets[payload]:
                     ref_start = max(busy_until[bank_id], time)
                     if log is not None:
+                        # The bank's effective refresh start: the
+                        # instant its lockout begins.
                         log.append(TimedCommand(
                             ref_start,
                             Command(
@@ -534,33 +531,6 @@ class MemorySystem:
                         _REFRESH,
                         (payload + 1) % refresh_slices,
                     ))
-            elif kind == _REFRESH:
-                # All-bank refresh, charged per bank as the bank becomes
-                # free (busy banks finish their work first).  Banks are
-                # swept in ascending order, which is the order their
-                # wake-ups are pushed.
-                refreshes += 1
-                for bank_id in range(n_banks):
-                    ref_start = max(busy_until[bank_id], time)
-                    if log is not None:
-                        # The bank's effective refresh start: the
-                        # instant its tRFC lockout begins.
-                        log.append(TimedCommand(
-                            ref_start,
-                            Command(
-                                CommandKind.REF,
-                                rank=bank_id // banks_per_rank,
-                                bank=bank_id,
-                            ),
-                        ))
-                    free = ref_start + tRFC
-                    busy_until[bank_id] = free
-                    banks[bank_id].open_row = None
-                    if has_queue[bank_id] and free < wake_at[bank_id]:
-                        wake_at[bank_id] = free
-                        heappush(heap, (free, next_seq(), _BANK_FREE, bank_id))
-                if total_completed < total_requests:
-                    heappush(heap, (time + timing.tREFI, next_seq(), _REFRESH, 0))
             elif kind == _EPOCH:
                 defense.on_refresh_window(time)
                 if total_completed < total_requests:

@@ -289,7 +289,7 @@ class TestEngineConformance:
             kwargs["epoch_ns"] = config.defense_epoch_ns
         defense = DEFENSE_CLASSES[name](512, **kwargs)
         system = MemorySystem(
-            config, synthetic_traces(config, "spec06"), defense=defense, seed=0
+            config, synthetic_traces(config, "spec06"), defense=defense
         )
         _, report = check_run(system)
         assert report.ok, report.render_text()
@@ -334,7 +334,7 @@ class TestEngineConformance:
         defense = DEFENSE_CLASSES["PARA"](
             1024, rows_per_bank=config.rows_per_bank, seed=0
         )
-        system = MemorySystem(config, traces, defense=defense, seed=0)
+        system = MemorySystem(config, traces, defense=defense)
         result, report = check_run(system)
         assert report.ok, report.render_text()
         # Every demand activation appears in the log exactly once.
@@ -358,7 +358,7 @@ class TestEngineConformance:
     def test_logging_does_not_change_results(self):
         def run(with_log):
             config = small_config(cores=2, requests_per_core=400)
-            system = MemorySystem(config, synthetic_traces(config), seed=3)
+            system = MemorySystem(config, synthetic_traces(config))
             if with_log:
                 return system.run(command_log=[]), None
             return system.run(), None
